@@ -10,8 +10,8 @@ and returns the derived relations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from schemeflow.engine import (
     A,
@@ -103,12 +103,6 @@ class AnalysisResult:
     engine: str  # "seminaive" | "naive" | "worklist"
     rounds: int = 0
     peak_facts: int = 0
-
-    def counts(self) -> dict[str, int]:
-        return {name: len(rows) for name, rows in sorted(self.relations.items())}
-
-    def total(self) -> int:
-        return sum(len(rows) for rows in self.relations.values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ engine path), ``oracle`` (worklist machine path), ``diff`` (run both and
 compare), ``gen-term`` (emit a generated program), ``bench`` (analyze a
 generated program and report sizes/timing).
 
-Exit codes: 0 success; 1 parse or validation error; 2 fact-ceiling
-exceeded (likely divergence); 3 diff mismatch.  Output directories contain
+Exit codes: 0 success; 1 parse or validation error, unreadable input,
+unwritable output, or a program nested too deeply; 2 fact-ceiling exceeded
+(likely divergence); 3 diff mismatch.  Output directories contain
 only relation files and are byte-deterministic; the run report goes to
 stdout as JSON (its duration field varies run to run).
 """
@@ -90,9 +91,13 @@ def _config(args: argparse.Namespace) -> AnalysisConfig:
 
 def _load(args: argparse.Namespace) -> LabeledProgram:
     path = Path(args.program)
-    if not path.exists():
-        raise ValidationError(f"no such file: {path}")
-    return read_program(path.read_text(), allow_quote=args.allow_quote)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as ex:
+        raise ValidationError(f"cannot read {path}: {ex.strerror}") from None
+    except UnicodeDecodeError as ex:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text ({ex.reason})") from None
+    return read_program(text, allow_quote=args.allow_quote)
 
 
 def _report(
@@ -124,14 +129,20 @@ def _run_and_emit(args: argparse.Namespace, mode: str) -> int:
             trace = lambda line: print(line, file=sys.stderr)
         result = run_fixpoint(program, cfg, trace=trace)
     duration_ms = (time.perf_counter() - start) * 1000.0
-    write_result_dir(result.relations, args.out, format=args.format)
+    try:
+        write_result_dir(result.relations, args.out, format=args.format)
+    except OSError as ex:
+        raise ValidationError(f"cannot write {ex.filename or args.out}: {ex.strerror}") from None
     sys.stdout.write(_report(mode, args.program, cfg, result, duration_ms).to_json())
     return 0
 
 
 def cmd_facts(args: argparse.Namespace) -> int:
     program = _load(args)
-    extract_facts(program).to_dir(args.out)
+    try:
+        extract_facts(program).to_dir(args.out)
+    except OSError as ex:
+        raise ValidationError(f"cannot write {ex.filename or args.out}: {ex.strerror}") from None
     return 0
 
 
@@ -239,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except FactCeilingExceeded as ex:
         print(f"fact ceiling exceeded: {ex}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: program nested too deeply", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

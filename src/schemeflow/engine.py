@@ -187,13 +187,6 @@ class RuleSet:
     strata: list[list[str]] = field(default_factory=list)
     stratum_of: dict[str, int] = field(default_factory=dict)
 
-    def pretty(self) -> str:
-        lines = [f".decl {name}/{arity}" for name, arity in sorted(self.relations.items())]
-        for i, scc in enumerate(self.strata):
-            lines.append(f"// stratum {i}: {', '.join(sorted(scc))}")
-        lines.extend(repr(r) for r in self.rules)
-        return "\n".join(lines)
-
 
 def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
     """Validate arities and range restriction, then stratify."""
@@ -352,9 +345,6 @@ class TupleStore:
 
     def total(self) -> int:
         return sum(len(rows) for rows in self.relations.values())
-
-    def counts(self) -> dict[str, int]:
-        return {name: len(rows) for name, rows in self.relations.items()}
 
     def copy(self) -> "TupleStore":
         out = TupleStore()
@@ -589,21 +579,3 @@ def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
                 new_delta.setdefault(rel, set()).add(row)
         check_ceiling()
         delta = new_delta
-
-
-# ---------------------------------------------------------------------------
-# Queries
-# ---------------------------------------------------------------------------
-
-
-def query(store: TupleStore, relation: str, bound_prefix: tuple = ()) -> list[tuple]:
-    """All tuples whose leading columns equal ``bound_prefix``, in canonical
-    (rendered-form lexicographic) order."""
-    from schemeflow.serialize import render_row
-
-    if relation not in store.relations:
-        raise RuleError(f"unknown relation {relation!r}")
-    k = len(bound_prefix)
-    rows = [t for t in store.tuples(relation) if t[:k] == tuple(bound_prefix)]
-    rows.sort(key=render_row)
-    return rows

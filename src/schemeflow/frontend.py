@@ -206,9 +206,6 @@ class LabeledProgram:
     def node(self, label: Label) -> Node:
         return self.nodes[label]
 
-    def labels(self) -> list[Label]:
-        return list(self.nodes)
-
     def free_vars(self, e: Label) -> frozenset[str]:
         return syntactic_free_vars(self, e)
 
@@ -561,9 +558,6 @@ EDB_SCHEMA: dict[str, tuple[str, ...]] = {
 class EDB:
     facts: dict[str, set[tuple]]
 
-    def counts(self) -> dict[str, int]:
-        return {name: len(rows) for name, rows in self.facts.items()}
-
     def to_dir(self, path: str | Path) -> None:
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
@@ -572,39 +566,11 @@ class EDB:
             text = "".join(line + "\n" for line in lines)
             (out / f"{name}.facts").write_text(text, encoding="utf-8")
 
-    @classmethod
-    def from_dir(cls, path: str | Path) -> "EDB":
-        src = Path(path)
-        facts: dict[str, set[tuple]] = {}
-        for name, schema in EDB_SCHEMA.items():
-            rows: set[tuple] = set()
-            fpath = src / f"{name}.facts"
-            if fpath.exists():
-                for line in fpath.read_text(encoding="utf-8").splitlines():
-                    if not line:
-                        continue
-                    cols = line.split("\t")
-                    if len(cols) != len(schema):
-                        raise ValidationError(f"{name}.facts: expected {len(schema)} columns")
-                    rows.add(tuple(_parse_col(kind, c) for kind, c in zip(schema, cols)))
-            facts[name] = rows
-        return cls(facts)
-
 
 def _fact_col(c: object) -> str:
     if isinstance(c, Label):
         return c.text
-    if isinstance(c, int):
-        return str(c)
     return str(c)
-
-
-def _parse_col(kind: str, text: str) -> object:
-    if kind == "label":
-        return Label(text)
-    if kind == "int":
-        return int(text)
-    return text
 
 
 def extract_facts(p: LabeledProgram) -> EDB:

@@ -18,7 +18,6 @@ each emission depends only on the joined pair, never on driver state.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from schemeflow.analysis import AnalysisConfig, AnalysisResult, IDB_SCHEMA
@@ -65,67 +64,8 @@ from schemeflow.terms import (
 )
 
 # ---------------------------------------------------------------------------
-# Configurations and the global store
+# Transition emissions (pure: lists of (relation, row) pairs)
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    e: Label
-    ctx: Context
-    ak: KAddr
-
-
-@dataclass(frozen=True)
-class ApplyConfig:
-    v: Term
-    ak: KAddr
-
-
-Config = EvalConfig | ApplyConfig
-
-
-class GlobalStore:
-    """vstore: VAddr → set of values; kstore: KAddr → set of continuations.
-    Both only ever grow (pointwise-union join)."""
-
-    def __init__(self) -> None:
-        self.vstore: dict[Term, set[Term]] = {}
-        self.kstore: dict[Term, set[Term]] = {}
-
-    def join_v(self, av: Term, val: Term) -> bool:
-        vals = self.vstore.setdefault(av, set())
-        if val in vals:
-            return False
-        vals.add(val)
-        return True
-
-    def join_k(self, ak: Term, k: Term) -> bool:
-        konts = self.kstore.setdefault(ak, set())
-        if k in konts:
-            return False
-        konts.add(k)
-        return True
-
-    def values(self, av: Term) -> frozenset:
-        return frozenset(self.vstore.get(av, ()))
-
-    def konts(self, ak: Term) -> frozenset:
-        return frozenset(self.kstore.get(ak, ()))
-
-
-@dataclass
-class StoreDelta:
-    """Joins one transition performs, split by target."""
-
-    vstore: list[tuple[Term, Term]] = field(default_factory=list)
-    kstore: list[tuple[Term, Term]] = field(default_factory=list)
-    copies: list[tuple[Context, Context, Label]] = field(default_factory=list)
-    flows: list[tuple[str, tuple]] = field(default_factory=list)
-
-    def empty(self) -> bool:
-        return not (self.vstore or self.kstore or self.copies)
-
 
 _ATOMIC = (NumNode, BoolNode, LambdaNode, VarNode)
 _CONTEXT_FORMS = (CallccNode, CallNode, LetNode, LambdaNode)
@@ -139,11 +79,6 @@ def _arg_lists(program: LabeledProgram) -> dict[Label, tuple[tuple[int, Label], 
     return out
 
 
-# ---------------------------------------------------------------------------
-# Transition emissions (pure: lists of (relation, row) pairs)
-# ---------------------------------------------------------------------------
-
-
 def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> list[Term]:
     node = program.node(e)
     if isinstance(node, NumNode):
@@ -152,9 +87,7 @@ def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> l
         return [Bool(node.text)]
     if isinstance(node, LambdaNode):
         return [Closure(e, ctx)]
-    if isinstance(node, VarNode):
-        return list(lookup(VAddr(node.name, ctx)))
-    raise ValidationError(f"atomic_eval on non-atomic expression {e.text}")
+    return list(lookup(VAddr(node.name, ctx)))  # a VarNode
 
 
 def _eval_emissions(
@@ -340,53 +273,6 @@ def _copy_emissions(
 
 
 # ---------------------------------------------------------------------------
-# Contract operations
-# ---------------------------------------------------------------------------
-
-
-def atomic_eval(program: LabeledProgram, e: Label, ctx: Context, store: GlobalStore) -> frozenset:
-    """Values an atomic expression denotes under the store (Fig-4 style)."""
-    return frozenset(_atomic_values(program, e, ctx, lambda av: store.values(av)))
-
-
-def step(
-    program: LabeledProgram, c: Config, store: GlobalStore, cfg: AnalysisConfig
-) -> tuple[set[Config], StoreDelta]:
-    """All successors of one configuration against the current store, plus
-    the store joins the matching rules perform.  Pure: nothing is mutated;
-    stuck configurations return an empty successor set."""
-    lookup = lambda av: store.values(av)
-    arg_lists = _arg_lists(program)
-    if isinstance(c, EvalConfig):
-        emissions = _eval_emissions(program, cfg, c.e, c.ctx, c.ak, lookup)
-    else:
-        emissions = []
-        for frame in sorted(store.konts(c.ak), key=repr):
-            emissions += _apply_emissions(program, cfg, arg_lists, c.v, c.ak, frame)
-    # Expand context copies against the current store.
-    for rel, row in list(emissions):
-        if rel == "copy_ctx":
-            emissions += _copy_emissions(program, row[0], row[1], row[2], lookup)
-
-    configs: set[Config] = set()
-    delta = StoreDelta()
-    for rel, row in emissions:
-        if rel == "state_e":
-            configs.add(EvalConfig(*row))
-        elif rel == "state_a":
-            configs.add(ApplyConfig(*row))
-        elif rel == "stored_val":
-            delta.vstore.append(row)
-        elif rel == "stored_kont":
-            delta.kstore.append(row)
-        elif rel == "copy_ctx":
-            delta.copies.append(row)
-        else:
-            delta.flows.append((rel, row))
-    return configs, delta
-
-
-# ---------------------------------------------------------------------------
 # The worklist fixpoint
 # ---------------------------------------------------------------------------
 
@@ -435,7 +321,9 @@ class Machine:
         self.program = program
         self.cfg = cfg
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
-        self.store = GlobalStore()
+        # The global stores (address -> values / frames); they only grow.
+        self.vstore: dict[Term, set[Term]] = {}
+        self.kstore: dict[Term, set[Term]] = {}
         self.arg_lists = _arg_lists(program)
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
         self.copy_from: dict[Context, list[tuple[Context, Label]]] = {}
@@ -481,21 +369,21 @@ class Machine:
                 self.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
             self.emit_all(
                 _eval_emissions(
-                    self.program, self.cfg, e, ctx, ak, lambda av: self.store.vstore.get(av, ())
+                    self.program, self.cfg, e, ctx, ak, lambda av: self.vstore.get(av, ())
                 )
             )
         elif rel == "state_a":
             val, ak = row
             # Join the new value against already-processed frames only; the
             # reverse direction happens when those frames are processed.
-            for frame in list(self.store.kstore.get(ak, ())):
+            for frame in list(self.kstore.get(ak, ())):
                 self.apply(val, ak, frame)
             self._avals.setdefault(ak, []).append(val)
         elif rel == "stored_kont":
             ak, frame = row
             for val in list(self._avals.get(ak, ())):
                 self.apply(val, ak, frame)
-            self.store.join_k(ak, frame)
+            self.kstore.setdefault(ak, set()).add(frame)
         elif rel == "stored_val":
             av, val = row
             for e, ak in self.var_reads.get(av, ()):
@@ -507,14 +395,14 @@ class Machine:
                 if x in self.program.free_vars(elam):
                     self._t("copy", x, ctx, to)
                     self.emit("stored_val", (VAddr(x, to), val))
-            self.store.join_v(av, val)
+            self.vstore.setdefault(av, set()).add(val)
         elif rel == "copy_ctx":
             frm, to, e = row
             self.copy_from.setdefault(frm, []).append((to, e))
             self._t("copy", frm, to, e)
             self.emit_all(
                 _copy_emissions(
-                    self.program, frm, to, e, lambda av: self.store.vstore.get(av, ())
+                    self.program, frm, to, e, lambda av: self.vstore.get(av, ())
                 )
             )
 
@@ -574,12 +462,13 @@ def run_fixpoint(
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:
     """Verify the result is a fixpoint: re-deriving from every fact adds
     nothing.  Raises ValidationError naming the first missing fact."""
-    store = GlobalStore()
+    vstore: dict[Term, set[Term]] = {}
     for av, val in relations["stored_val"]:
-        store.join_v(av, val)
+        vstore.setdefault(av, set()).add(val)
+    kstore: dict[Term, set[Term]] = {}
     for ak, k in relations["stored_kont"]:
-        store.join_k(ak, k)
-    lookup = lambda av: store.vstore.get(av, ())
+        kstore.setdefault(ak, set()).add(k)
+    lookup = lambda av: vstore.get(av, ())
     arg_lists = _arg_lists(program)
 
     def check(emissions, source) -> None:
@@ -590,7 +479,7 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
     for e, ctx, ak in relations["state_e"]:
         check(_eval_emissions(program, cfg, e, ctx, ak, lookup), ("state_e", e, ctx, ak))
     for val, ak in relations["state_a"]:
-        for frame in store.kstore.get(ak, ()):
+        for frame in kstore.get(ak, ()):
             check(
                 _apply_emissions(program, cfg, arg_lists, val, ak, frame),
                 ("state_a", val, ak),

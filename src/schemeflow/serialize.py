@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from schemeflow.errors import ValidationError
-from schemeflow.terms import TERM_TYPES, Label, Term, render
+from schemeflow.terms import render
 
 # The relations a run publishes; everything else is internal bookkeeping.
 OUTPUT_RELATIONS: tuple[str, ...] = (
@@ -27,44 +27,6 @@ OUTPUT_RELATIONS: tuple[str, ...] = (
     "flow_ee",
 )
 
-# Column kinds for parsing serialized rows back: "label" | "term" | "name" | "int".
-RESULT_SCHEMA: dict[str, tuple[str, ...]] = {
-    "state_e": ("label", "term", "term"),
-    "state_a": ("term", "term"),
-    "stored_val": ("term", "term"),
-    "stored_kont": ("term", "term"),
-    "flow_ee": ("label", "label"),
-    "flow_ea": ("label", "term"),
-    "flow_ae": ("term", "label"),
-    "flow_aa": ("term", "term"),
-    "peek_ctx": ("label", "term", "term"),
-    "copy_ctx": ("term", "term", "label"),
-    "freevar": ("name", "label"),
-}
-
-# Field kinds per constructor, for type-directed parsing.  "term*" greedily
-# parses the remaining fields (contexts hold a variable number of labels).
-TERM_SCHEMA: dict[str, tuple[str, ...]] = {
-    "Context": ("label*",),
-    "VAddress": ("name", "term"),
-    "KAddress": ("label", "term"),
-    "Number": ("int",),
-    "Bool": ("name",),
-    "Closure": ("label", "term"),
-    "Kont": ("term",),
-    "PrimVal": ("name", "term", "term"),
-    "NumTop": (),
-    "MT": (),
-    "If": ("label", "label", "term", "term"),
-    "Set": ("term", "term"),
-    "Callcc": ("term", "term"),
-    "Let": ("term", "label", "term", "term"),
-    "Arg": ("label", "term", "term", "term"),
-    "Fn": ("term", "int", "term", "term"),
-    "Prim1": ("name", "label", "term", "term"),
-    "Prim2": ("name", "term", "term"),
-}
-
 
 def render_row(row: tuple) -> tuple[str, ...]:
     return tuple(render(x) for x in row)
@@ -77,114 +39,6 @@ def sorted_rows(rows) -> list[tuple[str, ...]]:
 def relation_text(rows) -> str:
     lines = ["\t".join(r) for r in sorted_rows(rows)]
     return "".join(line + "\n" for line in lines)
-
-
-# ---------------------------------------------------------------------------
-# Parsing canonical forms back into terms
-# ---------------------------------------------------------------------------
-
-
-def _tokenize_term(text: str) -> list[str]:
-    tokens: list[str] = []
-    cur: list[str] = []
-    for ch in text:
-        if ch in "()":
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-            tokens.append(ch)
-        elif ch.isspace():
-            if cur:
-                tokens.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        tokens.append("".join(cur))
-    return tokens
-
-
-class _TermParser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize_term(text)
-        self.pos = 0
-        self.text = text
-
-    def _next(self) -> str:
-        if self.pos >= len(self.tokens):
-            raise ValidationError(f"unexpected end of term in {self.text!r}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def _peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def parse(self, kind: str):
-        if kind == "label":
-            tok = self._next()
-            if tok in "()":
-                raise ValidationError(f"expected a label, got {tok!r} in {self.text!r}")
-            return Label(tok)
-        if kind == "name":
-            tok = self._next()
-            if tok in "()":
-                raise ValidationError(f"expected a name, got {tok!r} in {self.text!r}")
-            return tok
-        if kind == "int":
-            tok = self._next()
-            try:
-                return int(tok)
-            except ValueError:
-                raise ValidationError(f"expected an integer, got {tok!r} in {self.text!r}") from None
-        if kind == "term":
-            if self._peek() == "(":
-                return self._parse_struct()
-            return Label(self._next())
-        raise ValidationError(f"unknown column kind {kind!r}")
-
-    def _parse_struct(self) -> Term:
-        tok = self._next()
-        if tok != "(":
-            raise ValidationError(f"expected '(' in {self.text!r}")
-        tag = self._next()
-        schema = TERM_SCHEMA.get(tag)
-        if schema is None:
-            raise ValidationError(f"unknown term constructor {tag!r} in {self.text!r}")
-        args: list = []
-        for kind in schema:
-            if kind == "label*":
-                while self._peek() not in (")", None):
-                    args.append(self.parse("label"))
-            else:
-                args.append(self.parse(kind))
-        closing = self._next()
-        if closing != ")":
-            raise ValidationError(f"expected ')' after {tag} in {self.text!r}")
-        return TERM_TYPES[tag](*args)
-
-    def done(self) -> bool:
-        return self.pos == len(self.tokens)
-
-
-def parse_atom(text: str, kind: str):
-    """Parse one serialized column of the given kind."""
-    p = _TermParser(text)
-    val = p.parse(kind)
-    if not p.done():
-        raise ValidationError(f"trailing tokens after term in {text!r}")
-    return val
-
-
-def parse_term(text: str) -> Term:
-    return parse_atom(text, "term")
-
-
-def parse_row(line: str, kinds: tuple[str, ...]) -> tuple:
-    cols = line.split("\t")
-    if len(cols) != len(kinds):
-        raise ValidationError(f"expected {len(kinds)} columns, got {len(cols)}: {line!r}")
-    return tuple(parse_atom(c, k) for c, k in zip(cols, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -207,30 +61,6 @@ def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, fo
         (out / "result.json").write_text(result_json_text(relations))
     else:
         raise ValidationError(f"unknown output format {format!r}")
-
-
-def load_result_dir(path: str | Path) -> dict[str, set[tuple]]:
-    """Re-load serialized relations (TSV directory or result.json)."""
-    p = Path(path)
-    relations: dict[str, set[tuple]] = {}
-    json_file = p / "result.json"
-    if json_file.exists():
-        doc = json.loads(json_file.read_text())
-        for name, rows in doc.items():
-            kinds = RESULT_SCHEMA[name]
-            relations[name] = {tuple(parse_atom(c, k) for c, k in zip(row, kinds)) for row in rows}
-        return relations
-    for f in sorted(p.glob("*.tsv")):
-        name = f.stem
-        if name not in RESULT_SCHEMA:
-            raise ValidationError(f"unknown relation file {f.name!r}")
-        kinds = RESULT_SCHEMA[name]
-        rows = set()
-        for line in f.read_text().splitlines():
-            if line:
-                rows.add(parse_row(line, kinds))
-        relations[name] = rows
-    return relations
 
 
 # ---------------------------------------------------------------------------

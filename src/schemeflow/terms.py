@@ -14,7 +14,7 @@ The canonical textual form of a term is an s-expression such as
 
 from __future__ import annotations
 
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 # Registry of constructor tag -> class, used to rebuild terms generically.
 TERM_TYPES: dict[str, type["Term"]] = {}
@@ -141,8 +141,6 @@ class NumTop(Term):
 
 NUM_TOP = NumTop()
 
-VALUE_TAGS = frozenset({"Number", "Bool", "Closure", "Kont", "PrimVal", "NumTop"})
-
 
 # ---------------------------------------------------------------------------
 # Continuation frames
@@ -197,11 +195,8 @@ class Prim2K(Term):
     _fields = ("op", "v1", "next")
 
 
-KONT_TAGS = frozenset({"MT", "If", "Set", "Callcc", "Let", "Arg", "Fn", "Prim1", "Prim2"})
-
-
 # ---------------------------------------------------------------------------
-# Allocators
+# Context allocation
 # ---------------------------------------------------------------------------
 
 
@@ -212,14 +207,6 @@ def make_context(call_label: Label, ctx: Context, m: int) -> Context:
     if m == 0:
         return EMPTY_CONTEXT
     return Context(*((call_label,) + ctx.args)[:m])
-
-
-def alloc_v(var: str, ctx: Context) -> VAddr:
-    return VAddr(var, ctx)
-
-
-def alloc_k(expr: Label, ctx: Context) -> KAddr:
-    return KAddr(expr, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,36 @@ class TestFailureModes:
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "x")]) == 1
         assert "SCHEMEFLOW_FACT_CEILING" in capsys.readouterr().err
 
+    def test_directory_as_program_exits_1(self, tmp_path, capsys):
+        assert main(["analyze", str(tmp_path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+    def test_non_utf8_program_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scm"
+        bad.write_bytes(b"(f \xff)")
+        assert main(["oracle", str(bad), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: not UTF-8 text")
+
+    def test_out_naming_a_file_exits_1(self, tmp_path, program_file, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for command in ("analyze", "facts"):
+            assert main([command, str(program_file), "--out", str(taken)]) == 1
+            assert capsys.readouterr().err == f"error: cannot write {taken}: File exists\n"
+
+    def test_deep_nesting_exits_1_without_traceback(self, tmp_path):
+        deep = tmp_path / "deep.scm"
+        deep.write_text("(lambda (x) " * 10_000 + "x" + ")" * 10_000)
+        out = str(tmp_path / "x")
+        for command in ("analyze", "oracle"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "schemeflow", command, str(deep), "--out", out],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr == "error: program nested too deeply\n"
+
 
 class TestEntryPoints:
     def test_console_script(self):

@@ -1,4 +1,4 @@
-"""The deductive engine: validation, stratification, saturation, querying."""
+"""The deductive engine: validation, stratification, saturation."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from schemeflow.engine import (
     atom,
     build_ruleset,
     neq,
-    query,
     rule,
     saturate,
     v,
@@ -86,12 +85,6 @@ class TestBuildRuleset:
         state_stratum = set(rs.strata[rs.stratum_of["state_e"]])
         assert {"state_e", "state_a", "stored_val", "stored_kont", "copy_ctx"} <= state_stratum
 
-    def test_pretty_dump_mentions_every_rule(self):
-        rs = build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES)
-        text = rs.pretty()
-        assert ".decl parent/2" in text
-        assert "ancestor(p, a)" in text
-
 
 class TestSaturate:
     def test_transitive_closure(self):
@@ -111,7 +104,7 @@ class TestSaturate:
     def test_edb_not_mutated(self):
         edb = ancestor_store([("a", "b"), ("b", "c")])
         saturate(build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES), edb)
-        assert "ancestor" not in edb.counts() or edb.tuples("ancestor") == set()
+        assert edb.tuples("ancestor") == set()
 
     def test_naive_equals_semi_naive(self):
         rs = build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES)
@@ -210,28 +203,3 @@ class TestTermPatterns:
         store.bulk_add("pairs", {(1, 1), (1, 2), (2, 2), (3, 1)})
         out, _ = saturate(build_ruleset(relations, rules), store)
         assert out.tuples("diff") == {(1, 2), (3, 1)}
-
-
-class TestQuery:
-    def setup_method(self):
-        self.store, _ = saturate(
-            build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES),
-            ancestor_store([("a", "b"), ("b", "c")]),
-        )
-
-    def test_bound_prefix(self):
-        assert query(self.store, "ancestor", ("a",)) == [("a", "b"), ("a", "c")]
-
-    def test_empty_prefix_is_full_scan(self):
-        assert set(query(self.store, "ancestor", ())) == self.store.tuples("ancestor")
-
-    def test_unmatched_prefix_empty(self):
-        assert query(self.store, "ancestor", ("zzz",)) == []
-
-    def test_unknown_relation(self):
-        with pytest.raises(RuleError):
-            query(self.store, "nope", ())
-
-    def test_canonical_order(self):
-        rows = query(self.store, "ancestor", ())
-        assert rows == sorted(rows, key=render_row)

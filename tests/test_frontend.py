@@ -6,7 +6,6 @@ import pytest
 
 from schemeflow.errors import ParseError, ValidationError
 from schemeflow.frontend import (
-    EDB,
     EDB_SCHEMA,
     IfNode,
     LambdaNode,
@@ -158,6 +157,22 @@ class TestAlphaRenaming:
         assert p.node(p.root).name == "x"
 
 
+def facts_as_text(edb) -> dict[str, set[tuple[str, ...]]]:
+    """Each EDB row as the column strings a .facts file should hold."""
+    return {
+        name: {tuple(c.text if isinstance(c, Label) else str(c) for c in row) for row in rows}
+        for name, rows in edb.facts.items()
+    }
+
+
+def read_facts_dir(path) -> dict[str, set[tuple[str, ...]]]:
+    """The rows of every .facts file in ``path``, split into columns."""
+    return {
+        name: {tuple(line.split("\t")) for line in (path / f"{name}.facts").read_text().splitlines()}
+        for name in EDB_SCHEMA
+    }
+
+
 class TestExtractFacts:
     def test_number_program(self):
         edb = extract_facts(read_program("42"))
@@ -190,14 +205,23 @@ class TestExtractFacts:
     def test_round_trip_via_directory(self, tmp_path):
         edb = extract_facts(read_program((CORPUS[16]).read_text()))
         edb.to_dir(tmp_path / "facts")
-        again = EDB.from_dir(tmp_path / "facts")
-        assert again.facts == edb.facts
+        assert read_facts_dir(tmp_path / "facts") == facts_as_text(edb)
 
     def test_round_trip_every_corpus_program(self, tmp_path):
         for i, path in enumerate(CORPUS):
             edb = extract_facts(read_program(path.read_text()))
             edb.to_dir(tmp_path / str(i))
-            assert EDB.from_dir(tmp_path / str(i)).facts == edb.facts
+            assert read_facts_dir(tmp_path / str(i)) == facts_as_text(edb)
+
+    def test_facts_files_hold_tab_separated_columns(self, tmp_path):
+        extract_facts(read_program("(f #t 7)")).to_dir(tmp_path)
+        text = {name: (tmp_path / f"{name}.facts").read_text() for name in EDB_SCHEMA}
+        assert text["call"] == "e0\te1\te2\n"
+        assert text["call_arg_list"] == "e2\t0\te3\ne2\t1\te4\n"
+        assert text["var"] == "e1\tf\n"
+        assert text["bool"] == "e3\t#t\n"
+        assert text["num"] == "e4\t7\n"
+        assert text["lambda"] == ""
 
     def test_label_determinism_byte_for_byte(self, tmp_path):
         source = (CORPUS[17]).read_text()

@@ -20,8 +20,6 @@ from schemeflow.terms import (
     Number,
     PrimVal,
     VAddr,
-    alloc_k,
-    alloc_v,
     make_context,
     primval_depth,
     render,
@@ -87,16 +85,18 @@ class TestMakeContext:
 
 class TestAllocators:
     def test_alloc_v_pairs(self):
-        assert alloc_v("x", EMPTY_CONTEXT) is VAddr("x", EMPTY_CONTEXT)
-        assert alloc_v("z", Context(e4)) is VAddr("z", Context(e4))
+        av = VAddr("z", Context(e4))
+        assert av is VAddr("z", Context(e4))
+        assert (av.var, av.ctx) == ("z", Context(e4))
 
     def test_alloc_k_pairs(self):
-        assert alloc_k(e2, EMPTY_CONTEXT) is KAddr(e2, EMPTY_CONTEXT)
-        assert alloc_k(e2, Context(e9)) is KAddr(e2, Context(e9))
+        ak = KAddr(e2, Context(e9))
+        assert ak is KAddr(e2, Context(e9))
+        assert (ak.expr, ak.ctx) == (e2, Context(e9))
 
     def test_distinct_ctx_distinct_address(self):
-        assert alloc_k(e2, Context(e9)) is not alloc_k(e2, EMPTY_CONTEXT)
-        assert alloc_v("x", Context(e9)) is not alloc_v("x", EMPTY_CONTEXT)
+        assert KAddr(e2, Context(e9)) is not KAddr(e2, EMPTY_CONTEXT)
+        assert VAddr("x", Context(e9)) is not VAddr("x", EMPTY_CONTEXT)
 
 
 def _pv(*vals):
