@@ -11,7 +11,6 @@ and returns the derived relations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from schemeflow.engine import (
     A,
@@ -124,11 +123,10 @@ def _widen_pv(cfg: AnalysisConfig):
     return widen
 
 
-def inject(edb: EDB | Mapping[str, set[tuple]], cfg: AnalysisConfig) -> dict[str, set[tuple]]:
+def inject(edb: EDB, cfg: AnalysisConfig) -> dict[str, set[tuple]]:
     """The initial facts: evaluate the root in the empty context, whose
     continuation address holds the one MT frame (plus the root peek)."""
-    facts = edb.facts if isinstance(edb, EDB) else edb
-    tops = facts.get("top_exp", set())
+    tops = edb.facts.get("top_exp", set())
     if len(tops) != 1:
         raise ValidationError(f"exactly one top_exp required, got {len(tops)}")
     (root,) = next(iter(tops))

@@ -172,24 +172,22 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_term(args: argparse.Namespace) -> int:
+def _generated_text(args: argparse.Namespace) -> str:
+    """The program text that ``--family``/``--n``/``--k``/``--padding`` name."""
     if args.family == "vanhorn":
-        print(gen_vanhorn())
-        return 0
+        return gen_vanhorn()
     if args.n is None:
         raise ValidationError("--n is required for --family mcfa")
-    print(gen_mcfa_worst(GenSpec(n_bindings=args.n, n_plus=args.k, padding=args.padding)))
+    return gen_mcfa_worst(GenSpec(n_bindings=args.n, n_plus=args.k, padding=args.padding))
+
+
+def cmd_gen_term(args: argparse.Namespace) -> int:
+    print(_generated_text(args))
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.family == "vanhorn":
-        text = gen_vanhorn()
-    else:
-        if args.n is None:
-            raise ValidationError("--n is required for --family mcfa")
-        text = gen_mcfa_worst(GenSpec(n_bindings=args.n, n_plus=args.k, padding=args.padding))
-    program = read_program(text)
+    program = read_program(_generated_text(args))
     cfg = _config(args)
     start = time.perf_counter()
     result = analyze(program, cfg)

@@ -7,19 +7,23 @@ constants, and — in heads only — call registered builder functions to
 compute a column from bound variables.  Disequality (``x != y``) is the one
 built-in body constraint; there is no negation.
 
-Evaluation is stratified by the SCC condensation of the head/body dependency
-graph (all heads of a multi-head rule are forced into one stratum), and each
-stratum runs either semi-naive (each derivation joins at least one
-newly-derived tuple) or naive (full re-join every round, for differential
-testing).  Tuple stores keep hash indexes per bound-column set, built lazily
-and maintained incrementally.
+Evaluation is stratified by mutual reachability in the head/body dependency
+graph: two relations share a stratum when each depends, directly or not, on
+the other (all heads of a multi-head rule are tied into one stratum), and
+dependencies come first.  Each stratum runs either semi-naive (each
+derivation joins at least one newly-derived tuple) or naive (full re-join
+every round, for differential testing).  Each rule's join is planned once
+per delta position before its stratum runs: the delta atom first, then the
+body in declaration order, each step knowing which columns are ground by
+then (its index key) and which are left to match.  Tuple stores keep, per
+relation, one hash index per key-column set, built lazily and maintained
+incrementally.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from schemeflow.errors import FactCeilingExceeded, RuleError
 from schemeflow.terms import TERM_TYPES, Term
@@ -192,25 +196,20 @@ def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
     """Validate arities and range restriction, then stratify."""
     rules = list(rules)
     for r in rules:
-        body_vars: set[str] = set()
-        for a in r.body:
+        for a in r.body + r.heads:
             if a.rel not in relations:
                 raise RuleError(f"{r.name}: unknown relation {a.rel!r}")
             if len(a.patterns) != relations[a.rel]:
                 raise RuleError(
                     f"{r.name}: {a.rel} expects {relations[a.rel]} columns, got {len(a.patterns)}"
                 )
-            for p in a.patterns:
-                _pattern_vars(p, body_vars, allow_apply=False)
         if not r.heads:
             raise RuleError(f"{r.name}: rule has no head")
+        body_vars: set[str] = set()
+        for a in r.body:
+            for p in a.patterns:
+                _pattern_vars(p, body_vars, allow_apply=False)
         for h in r.heads:
-            if h.rel not in relations:
-                raise RuleError(f"{r.name}: unknown relation {h.rel!r}")
-            if len(h.patterns) != relations[h.rel]:
-                raise RuleError(
-                    f"{r.name}: {h.rel} expects {relations[h.rel]} columns, got {len(h.patterns)}"
-                )
             head_vars: set[str] = set()
             for p in h.patterns:
                 if isinstance(p, PWild):
@@ -233,72 +232,33 @@ def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
 def _stratify(rs: RuleSet) -> None:
     deps: dict[str, set[str]] = {name: set() for name in rs.relations}
     for r in rs.rules:
+        # Heads of a multi-head rule must live in one stratum: tie them.
         head_rels = {h.rel for h in r.heads}
         for h in head_rels:
-            for b in r.body:
-                deps[h].add(b.rel)
-            # Heads of a multi-head rule must live in one stratum: tie them.
-            for other in head_rels:
-                if other != h:
-                    deps[h].add(other)
-                    deps[other].add(h)
+            deps[h] |= head_rels | {b.rel for b in r.body}
 
-    # Tarjan's SCC, iterative.
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[list[str]] = []
-    counter = itertools.count()
+    # reach[x]: x itself and everything x depends on, directly or not.
+    reach: dict[str, set[str]] = {}
+    for name in rs.relations:
+        seen = {name}
+        todo = [name]
+        while todo:
+            for dep in deps[todo.pop()] - seen:
+                seen.add(dep)
+                todo.append(dep)
+        reach[name] = seen
 
-    def strongconnect(root: str) -> None:
-        work = [(root, iter(sorted(deps[root])))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(sorted(deps[nxt]))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                scc = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    scc.append(member)
-                    if member == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-
-    for name in sorted(rs.relations):
-        if name not in index:
-            strongconnect(name)
-
-    # Tarjan emits SCCs in reverse topological order: dependencies first.
-    rs.strata = sccs
-    rs.stratum_of = {name: i for i, scc in enumerate(sccs) for name in scc}
-    for r in rs.rules:
-        strata = {rs.stratum_of[h.rel] for h in r.heads}
-        if len(strata) != 1:  # pragma: no cover - tying guarantees this
-            raise RuleError(f"{r.name}: heads span strata")
-        body_max = max((rs.stratum_of[b.rel] for b in r.body), default=-1)
-        if body_max > min(strata):
-            raise RuleError(f"{r.name}: body depends on a later stratum")
+    # Relations that reach each other share a stratum.  Because reach[x]
+    # holds x, a relation reaches strictly more than any relation it depends
+    # on outside its own stratum, so ordering by reach size puts dependencies
+    # first, and body relations never sit in a later stratum than heads.
+    rs.strata = []
+    rs.stratum_of = {}
+    for name in sorted(rs.relations, key=lambda x: (len(reach[x]), x)):
+        if name not in rs.stratum_of:
+            scc = sorted(y for y in reach[name] if name in reach[y])
+            rs.stratum_of.update((y, len(rs.strata)) for y in scc)
+            rs.strata.append(scc)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +267,11 @@ def _stratify(rs: RuleSet) -> None:
 
 
 class TupleStore:
-    """Per-relation tuple sets with lazily built bound-column hash indexes."""
+    """Per-relation tuple sets, each with lazily built key-column hash indexes."""
 
     def __init__(self, relations: Iterable[str] = ()) -> None:
         self.relations: dict[str, set[tuple]] = {name: set() for name in relations}
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict[tuple, list[tuple]]] = {}
+        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
 
     def ensure(self, name: str) -> None:
         self.relations.setdefault(name, set())
@@ -321,10 +281,8 @@ class TupleStore:
         if row in rel:
             return False
         rel.add(row)
-        for (iname, positions), table in self._indexes.items():
-            if iname == name:
-                key = tuple(row[p] for p in positions)
-                table.setdefault(key, []).append(row)
+        for positions, table in self._indexes.get(name, {}).items():
+            table.setdefault(tuple(row[p] for p in positions), []).append(row)
         return True
 
     def bulk_add(self, name: str, rows: Iterable[tuple]) -> int:
@@ -334,13 +292,12 @@ class TupleStore:
         return self.relations[name]
 
     def index(self, name: str, positions: tuple[int, ...]) -> dict[tuple, list[tuple]]:
-        key = (name, positions)
-        table = self._indexes.get(key)
+        indexes = self._indexes.setdefault(name, {})
+        table = indexes.get(positions)
         if table is None:
-            table = {}
+            table = indexes[positions] = {}
             for row in self.relations[name]:
                 table.setdefault(tuple(row[p] for p in positions), []).append(row)
-            self._indexes[key] = table
         return table
 
     def total(self) -> int:
@@ -388,23 +345,50 @@ def _build_value(p: Pattern, bindings: dict) -> object:
     raise RuleError(f"cannot instantiate {p!r}")
 
 
-def _try_ground(p: Pattern, bindings: dict) -> tuple[bool, object]:
-    """If ``p`` is fully determined by ``bindings``, produce its value."""
+def _ground(p: Pattern, bound: set[str]) -> bool:
+    """Whether ``p`` is fully determined once the variables ``bound`` are."""
     if isinstance(p, PConst):
-        return True, p.value
+        return True
     if isinstance(p, PVar):
-        if p.name in bindings:
-            return True, bindings[p.name]
-        return False, None
+        return p.name in bound
     if isinstance(p, PStruct):
-        vals = []
-        for f in p.fields:
-            ok, val = _try_ground(f, bindings)
-            if not ok:
-                return False, None
-            vals.append(val)
-        return True, TERM_TYPES[p.tag](*vals)
-    return False, None
+        return all(_ground(f, bound) for f in p.fields)
+    return False
+
+
+# ---------------------------------------------------------------------------
+# Join plans
+# ---------------------------------------------------------------------------
+
+
+class _Step(NamedTuple):
+    """One body atom of a join plan."""
+
+    rel: str
+    key_cols: tuple[int, ...]  # columns ground on arrival: the index key
+    key: tuple[Pattern, ...]  # their patterns, built into the key
+    rest: tuple[tuple[int, Pattern], ...]  # (column, pattern) left to match
+
+
+def _plan(r: Rule, first: int | None) -> list[_Step]:
+    """The join order of ``r``'s body: the delta atom ``first`` (matched
+    whole against the delta), then the others in declaration order."""
+    order = list(range(len(r.body)))
+    if first is not None:
+        order.remove(first)
+        order.insert(0, first)
+    bound: set[str] = set()
+    steps = []
+    for i in order:
+        a = r.body[i]
+        ground = () if i == first else tuple(
+            c for c, p in enumerate(a.patterns) if _ground(p, bound)
+        )
+        rest = tuple((c, p) for c, p in enumerate(a.patterns) if c not in ground)
+        steps.append(_Step(a.rel, ground, tuple(a.patterns[c] for c in ground), rest))
+        for p in a.patterns:
+            _pattern_vars(p, bound, allow_apply=False)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -415,85 +399,43 @@ def _try_ground(p: Pattern, bindings: dict) -> tuple[bool, object]:
 def _apply_rule(
     store: TupleStore,
     r: Rule,
-    delta: dict[str, set[tuple]] | None,
+    steps: list[_Step],
     out: list[tuple[str, tuple]],
+    delta_rows: set[tuple] | None = None,
 ) -> None:
-    """Emit head instantiations of ``r``; with ``delta``, require at least one
-    delta atom (run once per delta position, standard semi-naive)."""
-    n = len(r.body)
-    if delta is None:
-        orders = [list(range(n))]
-        sources: list[set[tuple] | None] = [None]
-    else:
-        orders = []
-        sources = []
-        for i, a in enumerate(r.body):
-            if a.rel in delta:
-                orders.append([i] + [j for j in range(n) if j != i])
-                sources.append(delta[a.rel])
-        if not orders:
-            return
+    """Emit head instantiations of ``r`` by following its plan ``steps``;
+    ``delta_rows``, when given, are the first step's candidates."""
+    _join(store, r, steps, 0, delta_rows, {}, [], out)
 
-    guards = r.guards
 
-    for order, first_source in zip(orders, sources):
-        bindings: dict = {}
-        trail: list[str] = []
-
-        def emit() -> None:
-            for g in guards:
-                ok_l, lv = _try_ground(g.left, bindings)
-                ok_r, rv = _try_ground(g.right, bindings)
-                if not (ok_l and ok_r):  # pragma: no cover - validated at build
-                    raise RuleError(f"{r.name}: guard on unbound variable")
-                if lv == rv:
-                    return
-            for h in r.heads:
-                out.append((h.rel, tuple(_build_value(p, bindings) for p in h.patterns)))
-
-        def rec(k: int) -> None:
-            if k == n:
-                emit()
+def _join(store, r, steps, k, rows, bindings, trail, out) -> None:
+    if k == len(steps):
+        for g in r.guards:
+            if _build_value(g.left, bindings) == _build_value(g.right, bindings):
                 return
-            a = r.body[order[k]]
-            if k == 0 and first_source is not None:
-                candidates: Iterable[tuple] = first_source
-            else:
-                ground_positions: list[int] = []
-                ground_values: list[object] = []
-                unground: list[int] = []
-                for pos, p in enumerate(a.patterns):
-                    ok, val = _try_ground(p, bindings)
-                    if ok:
-                        ground_positions.append(pos)
-                        ground_values.append(val)
-                    else:
-                        unground.append(pos)
-                if ground_positions and unground:
-                    table = store.index(a.rel, tuple(ground_positions))
-                    candidates = table.get(tuple(ground_values), ())
-                elif ground_positions:
-                    # Fully ground atom: membership test.
-                    candidates = (
-                        (tuple(ground_values),)
-                        if tuple(ground_values) in store.tuples(a.rel)
-                        else ()
-                    )
-                else:
-                    candidates = store.tuples(a.rel)
-            mark = len(trail)
-            for row in candidates:
-                ok = True
-                for p, val in zip(a.patterns, row):
-                    if not _match(p, val, bindings, trail):
-                        ok = False
-                        break
-                if ok:
-                    rec(k + 1)
-                while len(trail) > mark:
-                    bindings.pop(trail.pop())
-
-        rec(0)
+        for h in r.heads:
+            out.append((h.rel, tuple(_build_value(p, bindings) for p in h.patterns)))
+        return
+    rel, key_cols, key, rest = steps[k]
+    if rows is None:
+        if not key_cols:
+            rows = store.tuples(rel)
+        elif not rest:
+            # Every column is fixed: a membership test.
+            row = tuple(_build_value(p, bindings) for p in key)
+            rows = (row,) if row in store.tuples(rel) else ()
+        else:
+            table = store.index(rel, key_cols)
+            rows = table.get(tuple(_build_value(p, bindings) for p in key), ())
+    mark = len(trail)
+    for row in rows:
+        for c, p in rest:
+            if not _match(p, row[c], bindings, trail):
+                break
+        else:
+            _join(store, r, steps, k + 1, None, bindings, trail, out)
+        while len(trail) > mark:
+            bindings.pop(trail.pop())
 
 
 @dataclass
@@ -537,11 +479,12 @@ def saturate(
 
 
 def _run_naive(store, rules, stats, check_ceiling) -> None:
+    plans = [(r, _plan(r, None)) for r in rules]
     while True:
         stats.rounds += 1
         emitted: list[tuple[str, tuple]] = []
-        for r in rules:
-            _apply_rule(store, r, None, emitted)
+        for r, steps in plans:
+            _apply_rule(store, r, steps, emitted)
         changed = False
         for rel, row in emitted:
             if store.add(rel, row):
@@ -553,14 +496,17 @@ def _run_naive(store, rules, stats, check_ceiling) -> None:
 
 def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
     # Rules with no body atom in this stratum cannot re-fire once the lower
-    # strata are fixed: run them a single time up front.
-    recursive: list[Rule] = []
+    # strata are fixed: run them a single time up front.  The others get one
+    # plan per body atom of this stratum, run when that atom has a delta.
+    plans: list[tuple[Rule, str, list[_Step]]] = []
     emitted: list[tuple[str, tuple]] = []
     for r in rules:
         if any(b.rel in stratum_rels for b in r.body):
-            recursive.append(r)
+            plans.extend(
+                (r, a.rel, _plan(r, i)) for i, a in enumerate(r.body) if a.rel in stratum_rels
+            )
         else:
-            _apply_rule(store, r, None, emitted)
+            _apply_rule(store, r, _plan(r, None), emitted)
     for rel, row in emitted:
         store.add(rel, row)
     check_ceiling()
@@ -571,8 +517,9 @@ def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
     while delta:
         stats.rounds += 1
         emitted = []
-        for r in recursive:
-            _apply_rule(store, r, delta, emitted)
+        for r, rel, steps in plans:
+            if rel in delta:
+                _apply_rule(store, r, steps, emitted, delta[rel])
         new_delta: dict[str, set[tuple]] = {}
         for rel, row in emitted:
             if store.add(rel, row):

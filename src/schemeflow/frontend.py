@@ -283,12 +283,7 @@ class _Builder:
         elif tok in ("#t", "#f"):
             self.nodes[label] = BoolNode(label, tok)
         elif _is_identifier(tok):
-            if "~" in tok:
-                raise ValidationError(
-                    f"identifier {tok!r} may not contain '~' (reserved for renaming)",
-                    sx.line,
-                    sx.col,
-                )
+            self._ident(sx, "variable")
             self.nodes[label] = VarNode(label, env.get(tok, tok), tok)
         else:
             raise ValidationError(f"unsupported literal {tok!r}", sx.line, sx.col)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,11 @@ from schemeflow.machine import run_fixpoint
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 CORPUS = sorted(CORPUS_DIR.glob("*.scm"))
+
+# Tests that run ``python -m schemeflow`` in a subprocess import this
+# checkout's package too, installed or not.
+SRC_DIR = str(Path(__file__).parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
 
 # Programs that exercise every syntactic form at least once; kept under a
 # failsafe fact ceiling so a regression cannot hang the suite.

@@ -168,8 +168,9 @@ class TestGenTermAndBench:
         assert capsys.readouterr().out == VANHORN_TERM + "\n"
 
     def test_gen_term_requires_n(self, capsys):
-        assert main(["gen-term"]) == 1
-        assert "--n" in capsys.readouterr().err
+        for argv in (["gen-term"], ["bench"]):
+            assert main(argv) == 1
+            assert "--n" in capsys.readouterr().err
 
     def test_bench_reports_counts(self, capsys):
         assert main(["bench", "--n", "2", "--k", "1", "--m", "1"]) == 0

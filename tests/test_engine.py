@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
+from schemeflow import analysis
 from schemeflow.analysis import build_analysis_ruleset
 from schemeflow.engine import (
     A,
@@ -20,7 +22,10 @@ from schemeflow.engine import (
     v,
 )
 from schemeflow.errors import FactCeilingExceeded, RuleError
+from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import render_row
+
+from conftest import config
 
 ANCESTOR_RELATIONS = {"parent": 2, "ancestor": 2}
 ANCESTOR_RULES = [
@@ -45,6 +50,27 @@ class TestBuildRuleset:
         assert rs.stratum_of["parent"] < rs.stratum_of["ancestor"]
         ancestor_stratum = rs.strata[rs.stratum_of["ancestor"]]
         assert ancestor_stratum == ["ancestor"]
+
+    def test_dependent_of_a_recursive_relation_sits_in_a_later_stratum(self):
+        # a_reached sorts before path and reaches as many other relations
+        # (path, edge); only counting itself puts it after path.
+        relations = {"edge": 2, "path": 2, "a_reached": 1}
+        rules = [
+            rule("base", [atom("path", v.x, v.y)], [atom("edge", v.x, v.y)]),
+            rule(
+                "step",
+                [atom("path", v.x, v.z)],
+                [atom("path", v.x, v.y), atom("edge", v.y, v.z)],
+            ),
+            rule("reached", [atom("a_reached", v.y)], [atom("path", WILD, v.y)]),
+        ]
+        rs = build_ruleset(relations, rules)
+        assert rs.stratum_of["edge"] < rs.stratum_of["path"] < rs.stratum_of["a_reached"]
+        assert rs.strata == [["edge"], ["path"], ["a_reached"]]
+        store = TupleStore(relations)
+        store.bulk_add("edge", {("a", "b"), ("b", "c")})
+        out, _ = saturate(rs, store)
+        assert out.tuples("a_reached") == {("b",), ("c",)}
 
     def test_unknown_body_relation(self):
         bad = rule("r", [atom("ancestor", v.p, v.a)], [atom("nope", v.p, v.a)])
@@ -203,3 +229,23 @@ class TestTermPatterns:
         store.bulk_add("pairs", {(1, 1), (1, 2), (2, 2), (3, 1)})
         out, _ = saturate(build_ruleset(relations, rules), store)
         assert out.tuples("diff") == {(1, 2), (3, 1)}
+
+
+class TestBodyOrder:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_reversed_rule_bodies_derive_the_same_relations(
+        self, m, monkeypatch, corpus_programs
+    ):
+        build_rules = analysis.build_rules
+        monkeypatch.setattr(
+            analysis,
+            "build_rules",
+            lambda cfg: [dataclasses.replace(r, body=r.body[::-1]) for r in build_rules(cfg)],
+        )
+        cfg = config(m=m)
+        bodies = [repr(r.body) for r in build_analysis_ruleset(cfg).rules]
+        assert bodies == [repr(r.body[::-1]) for r in build_rules(cfg)]
+        assert bodies != [repr(r.body) for r in build_rules(cfg)]
+        for stem, program in corpus_programs.items():
+            expected = run_fixpoint(program, cfg).relations
+            assert analysis.analyze(program, cfg).relations == expected, stem
