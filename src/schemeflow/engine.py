@@ -12,16 +12,26 @@ graph: two relations share a stratum when each depends, directly or not, on
 the other (all heads of a multi-head rule are tied into one stratum), and
 dependencies come first.  Each stratum runs either semi-naive (each
 derivation joins at least one newly-derived tuple) or naive (full re-join
-every round, for differential testing).  Each rule's join is planned once
-per delta position before its stratum runs: the delta atom first, then the
-body in declaration order, each step knowing which columns are ground by
-then (its index key) and which are left to match.  Tuple stores keep, per
-relation, one hash index per key-column set, built lazily and maintained
-incrementally.
+every round, for differential testing).
+
+Each rule's join is planned once per delta position before its stratum
+runs.  The delta atom comes first; after it, the atom with the most columns
+ground by then, then the one with the fewest new variables, then the
+earliest declared.  The columns ground on arrival are a step's index key.
+Each plan is then compiled into one Python function: nested ``for`` loops
+over the delta, index lookups and relations, unpacking of struct patterns,
+``continue`` on a mismatch, and appends of the built heads.  Both modes run
+these functions; the source text holds only generated names, and the
+relations, indexes, constants, constructors and builders it uses are bound
+per run, so one text serves every plan of its shape.  Tuple stores keep,
+per relation, one hash index per key-column set, built when a plan first
+needs it and maintained incrementally.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -267,11 +277,16 @@ def _stratify(rs: RuleSet) -> None:
 
 
 class TupleStore:
-    """Per-relation tuple sets, each with lazily built key-column hash indexes."""
+    """Per-relation tuple sets, each with lazily built key-column hash indexes.
+
+    An index maps a row's key to the rows with that key.  A one-column key
+    is the column's value; a wider key is the tuple of the values.
+    """
 
     def __init__(self, relations: Iterable[str] = ()) -> None:
         self.relations: dict[str, set[tuple]] = {name: set() for name in relations}
-        self._indexes: dict[str, dict[tuple[int, ...], dict[tuple, list[tuple]]]] = {}
+        # name -> key columns -> (row -> key, key -> rows)
+        self._indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
 
     def ensure(self, name: str) -> None:
         self.relations.setdefault(name, set())
@@ -281,8 +296,8 @@ class TupleStore:
         if row in rel:
             return False
         rel.add(row)
-        for positions, table in self._indexes.get(name, {}).items():
-            table.setdefault(tuple(row[p] for p in positions), []).append(row)
+        for key, table in self._indexes.get(name, {}).values():
+            table.setdefault(key(row), []).append(row)
         return True
 
     def bulk_add(self, name: str, rows: Iterable[tuple]) -> int:
@@ -291,14 +306,15 @@ class TupleStore:
     def tuples(self, name: str) -> set[tuple]:
         return self.relations[name]
 
-    def index(self, name: str, positions: tuple[int, ...]) -> dict[tuple, list[tuple]]:
+    def index(self, name: str, positions: tuple[int, ...]) -> dict[object, list[tuple]]:
         indexes = self._indexes.setdefault(name, {})
-        table = indexes.get(positions)
-        if table is None:
-            table = indexes[positions] = {}
+        if positions not in indexes:
+            key = operator.itemgetter(*positions)
+            table: dict[object, list[tuple]] = {}
             for row in self.relations[name]:
-                table.setdefault(tuple(row[p] for p in positions), []).append(row)
-        return table
+                table.setdefault(key(row), []).append(row)
+            indexes[positions] = (key, table)
+        return indexes[positions][1]
 
     def total(self) -> int:
         return sum(len(rows) for rows in self.relations.values())
@@ -307,42 +323,6 @@ class TupleStore:
         out = TupleStore()
         out.relations = {name: set(rows) for name, rows in self.relations.items()}
         return out
-
-
-# ---------------------------------------------------------------------------
-# Matching and instantiation
-# ---------------------------------------------------------------------------
-
-
-def _match(p: Pattern, val: object, bindings: dict, trail: list[str]) -> bool:
-    if isinstance(p, PVar):
-        name = p.name
-        if name in bindings:
-            return bindings[name] == val
-        bindings[name] = val
-        trail.append(name)
-        return True
-    if isinstance(p, PWild):
-        return True
-    if isinstance(p, PConst):
-        return p.value == val
-    if isinstance(p, PStruct):
-        if not isinstance(val, Term) or val.tag != p.tag or len(val.args) != len(p.fields):
-            return False
-        return all(_match(f, a, bindings, trail) for f, a in zip(p.fields, val.args))
-    raise RuleError(f"pattern {p!r} not allowed in body")
-
-
-def _build_value(p: Pattern, bindings: dict) -> object:
-    if isinstance(p, PVar):
-        return bindings[p.name]
-    if isinstance(p, PConst):
-        return p.value
-    if isinstance(p, PStruct):
-        return TERM_TYPES[p.tag](*(_build_value(f, bindings) for f in p.fields))
-    if isinstance(p, PApply):
-        return p.fn(*(_build_value(f, bindings) for f in p.fields))
-    raise RuleError(f"cannot instantiate {p!r}")
 
 
 def _ground(p: Pattern, bound: set[str]) -> bool:
@@ -366,76 +346,173 @@ class _Step(NamedTuple):
 
     rel: str
     key_cols: tuple[int, ...]  # columns ground on arrival: the index key
-    key: tuple[Pattern, ...]  # their patterns, built into the key
-    rest: tuple[tuple[int, Pattern], ...]  # (column, pattern) left to match
+    patterns: tuple[Pattern, ...]
 
 
 def _plan(r: Rule, first: int | None) -> list[_Step]:
-    """The join order of ``r``'s body: the delta atom ``first`` (matched
-    whole against the delta), then the others in declaration order."""
-    order = list(range(len(r.body)))
-    if first is not None:
-        order.remove(first)
-        order.insert(0, first)
+    """The join order of ``r``'s body.  The delta atom ``first`` comes first
+    and is matched whole against the delta.  Each next atom is the one with
+    the most columns ground by then, then the fewest new variables, then
+    the earliest declared."""
     bound: set[str] = set()
+    todo = list(range(len(r.body)))
     steps = []
-    for i in order:
+
+    def rank(i: int) -> tuple[int, int, int]:
+        a = r.body[i]
+        new: set[str] = set()
+        for p in a.patterns:
+            _pattern_vars(p, new, allow_apply=False)
+        return (-sum(_ground(p, bound) for p in a.patterns), len(new - bound), i)
+
+    while todo:
+        i = first if first is not None and not steps else min(todo, key=rank)
+        todo.remove(i)
         a = r.body[i]
         ground = () if i == first else tuple(
             c for c, p in enumerate(a.patterns) if _ground(p, bound)
         )
-        rest = tuple((c, p) for c, p in enumerate(a.patterns) if c not in ground)
-        steps.append(_Step(a.rel, ground, tuple(a.patterns[c] for c in ground), rest))
+        steps.append(_Step(a.rel, ground, a.patterns))
         for p in a.patterns:
             _pattern_vars(p, bound, allow_apply=False)
     return steps
 
 
 # ---------------------------------------------------------------------------
-# Saturation
+# Compiled plans
 # ---------------------------------------------------------------------------
 
 
-def _apply_rule(
-    store: TupleStore,
-    r: Rule,
-    steps: list[_Step],
-    out: list[tuple[str, tuple]],
-    delta_rows: set[tuple] | None = None,
-) -> None:
-    """Emit head instantiations of ``r`` by following its plan ``steps``;
-    ``delta_rows``, when given, are the first step's candidates."""
-    _join(store, r, steps, 0, delta_rows, {}, [], out)
+def _tuple(items: list[str]) -> str:
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
 
 
-def _join(store, r, steps, k, rows, bindings, trail, out) -> None:
-    if k == len(steps):
-        for g in r.guards:
-            if _build_value(g.left, bindings) == _build_value(g.right, bindings):
-                return
-        for h in r.heads:
-            out.append((h.rel, tuple(_build_value(p, bindings) for p in h.patterns)))
-        return
-    rel, key_cols, key, rest = steps[k]
-    if rows is None:
-        if not key_cols:
-            rows = store.tuples(rel)
-        elif not rest:
+class _Source:
+    """The source text of one plan's join, and the values its names stand for.
+
+    The text holds only identifiers made here: ``v*`` rule variables, ``t*``
+    values still to check, and one parameter of ``make`` per entry of
+    ``values`` (relations, indexes, constants, constructors, builders).  So
+    plans of the same shape share one text, and one compiled function.
+    """
+
+    def __init__(self) -> None:
+        self.values: dict[str, object] = {}
+        self.var: dict[str, str] = {}  # rule variable -> identifier
+        self.lines: list[str] = []
+        self.depth = 2  # inside make and join; each loop adds one
+        self.temps = 0
+        self.pending: list[tuple[Pattern, str]] = []  # (pattern, temporary) to check
+
+    def name(self, prefix: str, value: object) -> str:
+        name = f"{prefix}{len(self.values)}"
+        self.values[name] = value
+        return name
+
+    def line(self, text: str) -> None:
+        self.lines.append("    " * self.depth + text)
+
+    def skip(self) -> str:
+        return "continue" if self.depth > 2 else "return"
+
+    def build(self, p: Pattern) -> str:
+        """An expression for the value of the ground pattern ``p``."""
+        if isinstance(p, PVar):
+            return self.var[p.name]
+        if isinstance(p, PConst):
+            return self.name("K", p.value)
+        if isinstance(p, PStruct):
+            return f"{self.name('C', TERM_TYPES[p.tag])}({', '.join(map(self.build, p.fields))})"
+        if isinstance(p, PApply):
+            return f"{self.name('F', p.fn)}({', '.join(map(self.build, p.fields))})"
+        raise RuleError(f"cannot instantiate {p!r}")
+
+    def targets(self, patterns: Sequence[Pattern], known: Sequence[int] = ()) -> str:
+        """Unpack targets for values matched against ``patterns``.  New
+        variables bind directly; wildcards and the ``known`` positions go to
+        ``_``; every other value goes to a temporary, which ``unpacked``
+        then checks."""
+        names = []
+        for c, p in enumerate(patterns):
+            if c in known or isinstance(p, PWild):
+                names.append("_")
+            elif isinstance(p, PVar) and p.name not in self.var:
+                names.append(self.var.setdefault(p.name, f"v{len(self.var)}"))
+            else:
+                names.append(f"t{self.temps}")
+                self.temps += 1
+                self.pending.append((p, names[-1]))
+        return _tuple(names)
+
+    def unpacked(self) -> None:
+        pending, self.pending = self.pending, []
+        for p, t in pending:
+            self.match(p, t)
+
+    def match(self, p: Pattern, t: str) -> None:
+        """Skip the candidate unless the value ``t`` matches ``p``."""
+        if isinstance(p, PVar):
+            self.line(f"if {t} != {self.var[p.name]}: {self.skip()}")
+        elif isinstance(p, PConst):
+            self.line(f"if {t} != {self.name('K', p.value)}: {self.skip()}")
+        elif isinstance(p, PStruct):
+            cls = self.name("C", TERM_TYPES[p.tag])
+            n = len(p.fields)
+            self.line(f"if type({t}) is not {cls} or len({t}.args) != {n}: {self.skip()}")
+            if n:
+                self.line(f"{self.targets(p.fields)} = {t}.args")
+                self.unpacked()
+        else:
+            raise RuleError(f"pattern {p!r} not allowed in body")
+
+
+def _join_function(r: Rule, steps: list[_Step], store: TupleStore, delta: bool) -> Callable:
+    """Compile ``steps`` into ``join(delta, out)``, which appends to ``out``
+    each (relation, row) that ``r`` derives; ``delta`` holds the first
+    step's rows when ``delta`` is set."""
+    src = _Source()
+    for k, (rel, key_cols, patterns) in enumerate(steps):
+        if k == 0 and delta:
+            rows = "delta"
+        elif not key_cols:
+            rows = src.name("R", store.tuples(rel))
+        elif len(key_cols) == len(patterns):
             # Every column is fixed: a membership test.
-            row = tuple(_build_value(p, bindings) for p in key)
-            rows = (row,) if row in store.tuples(rel) else ()
+            row = _tuple([src.build(p) for p in patterns])
+            src.line(f"if {row} not in {src.name('R', store.tuples(rel))}: {src.skip()}")
+            continue
         else:
-            table = store.index(rel, key_cols)
-            rows = table.get(tuple(_build_value(p, bindings) for p in key), ())
-    mark = len(trail)
-    for row in rows:
-        for c, p in rest:
-            if not _match(p, row[c], bindings, trail):
-                break
-        else:
-            _join(store, r, steps, k + 1, None, bindings, trail, out)
-        while len(trail) > mark:
-            bindings.pop(trail.pop())
+            cols = [src.build(patterns[c]) for c in key_cols]
+            key = cols[0] if len(cols) == 1 else _tuple(cols)
+            rows = f"{src.name('I', store.index(rel, key_cols))}.get({key}, ())"
+        src.line(f"for {src.targets(patterns, key_cols)} in {rows}:")
+        src.depth += 1
+        src.unpacked()
+    for g in r.guards:
+        src.line(f"if {src.build(g.left)} == {src.build(g.right)}: {src.skip()}")
+    for h in r.heads:
+        row = _tuple([src.build(p) for p in h.patterns])
+        src.line(f"out.append(({src.name('N', h.rel)}, {row}))")
+    text = "\n".join(
+        [f"def make({', '.join(src.values)}):", "    def join(delta, out):", *src.lines, "    return join"]
+    )
+    return _make_function(text)(*src.values.values())
+
+
+# The analysis rule set compiles to 94 distinct texts over both truthiness
+# modes, semi-naive and naive; the memo holds them all with room to spare.
+@functools.lru_cache(maxsize=256)
+def _make_function(text: str) -> Callable:
+    """The ``make`` that ``text`` defines.  It holds no values of any run:
+    each call binds a plan's values into a new ``join``, dropped with it."""
+    scope: dict[str, object] = {}
+    exec(compile(text, "<join plan>", "exec"), scope)
+    return scope["make"]
+
+
+# ---------------------------------------------------------------------------
+# Saturation
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -479,12 +556,12 @@ def saturate(
 
 
 def _run_naive(store, rules, stats, check_ceiling) -> None:
-    plans = [(r, _plan(r, None)) for r in rules]
+    joins = [_join_function(r, _plan(r, None), store, False) for r in rules]
     while True:
         stats.rounds += 1
         emitted: list[tuple[str, tuple]] = []
-        for r, steps in plans:
-            _apply_rule(store, r, steps, emitted)
+        for join in joins:
+            join(None, emitted)
         changed = False
         for rel, row in emitted:
             if store.add(rel, row):
@@ -498,15 +575,14 @@ def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
     # Rules with no body atom in this stratum cannot re-fire once the lower
     # strata are fixed: run them a single time up front.  The others get one
     # plan per body atom of this stratum, run when that atom has a delta.
-    plans: list[tuple[Rule, str, list[_Step]]] = []
+    joins: list[tuple[str, Callable]] = []
     emitted: list[tuple[str, tuple]] = []
     for r in rules:
-        if any(b.rel in stratum_rels for b in r.body):
-            plans.extend(
-                (r, a.rel, _plan(r, i)) for i, a in enumerate(r.body) if a.rel in stratum_rels
-            )
-        else:
-            _apply_rule(store, r, _plan(r, None), emitted)
+        firsts = [i for i, a in enumerate(r.body) if a.rel in stratum_rels]
+        for i in firsts:
+            joins.append((r.body[i].rel, _join_function(r, _plan(r, i), store, True)))
+        if not firsts:
+            _join_function(r, _plan(r, None), store, False)(None, emitted)
     for rel, row in emitted:
         store.add(rel, row)
     check_ceiling()
@@ -517,9 +593,9 @@ def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
     while delta:
         stats.rounds += 1
         emitted = []
-        for r, rel, steps in plans:
+        for rel, join in joins:
             if rel in delta:
-                _apply_rule(store, r, steps, emitted, delta[rel])
+                join(delta[rel], emitted)
         new_delta: dict[str, set[tuple]] = {}
         for rel, row in emitted:
             if store.add(rel, row):

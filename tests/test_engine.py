@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import io
+import keyword
 import random
+import re
+import tokenize
+import weakref
 
 import pytest
 
-from schemeflow import analysis
+from schemeflow import analysis, engine
 from schemeflow.analysis import build_analysis_ruleset
 from schemeflow.engine import (
     A,
+    PVar,
     T,
     TupleStore,
     WILD,
@@ -24,6 +31,7 @@ from schemeflow.engine import (
 from schemeflow.errors import FactCeilingExceeded, RuleError
 from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import render_row
+from schemeflow.terms import Bool, Context, Label, Number, VAddr
 
 from conftest import config
 
@@ -249,3 +257,213 @@ class TestBodyOrder:
         for stem, program in corpus_programs.items():
             expected = run_fixpoint(program, cfg).relations
             assert analysis.analyze(program, cfg).relations == expected, stem
+
+
+def saturate_both_ways(relations, rules, facts):
+    """The semi-naive result, after checking that naive mode agrees."""
+    rs = build_ruleset(relations, rules)
+    store = TupleStore(relations)
+    for name, rows in facts.items():
+        store.bulk_add(name, rows)
+    fast, _ = saturate(rs, store)
+    slow, _ = saturate(rs, store, naive=True)
+    assert fast.relations == slow.relations
+    return fast
+
+
+# Identifiers the plan compiler writes itself; every other name in a plan's
+# source must be a generated ``v0``/``t0`` variable or ``K0``-style value.
+PLAN_WORDS = {"make", "join", "delta", "out", "append", "get", "args", "type", "len", "_"}
+
+
+def plan_names(text: str) -> set[str]:
+    tokens = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    assert not [t for t in tokens if t.type == tokenize.STRING], text
+    return {t.string for t in tokens if t.type == tokenize.NAME and not keyword.iskeyword(t.string)}
+
+
+@pytest.fixture
+def plan_texts(monkeypatch):
+    """Every join-plan source text compiled while the fixture is active."""
+    texts: list[str] = []
+    make_function = engine._make_function
+
+    def record(text):
+        texts.append(text)
+        return make_function(text)
+
+    monkeypatch.setattr(engine, "_make_function", record)
+    return texts
+
+
+class TestJoinOrder:
+    def test_a_var_joins_var_before_state_e_on_a_stored_val_delta(self):
+        (a_var,) = [r for r in build_analysis_ruleset(config(m=0)).rules if r.name == "a-var"]
+        first = [a.rel for a in a_var.body].index("stored_val")
+        steps = engine._plan(a_var, first)
+        assert [s.rel for s in steps] == ["stored_val", "var", "state_e"]
+        # var is keyed on x, then state_e on both e and ctx.
+        assert [s.key_cols for s in steps] == [(), (1,), (0, 1)]
+
+    def test_most_ground_columns_then_fewest_new_variables(self):
+        r = rule(
+            "r",
+            [atom("out", v.a, v.d)],
+            [
+                atom("wide", v.a, v.b, v.c, v.d),
+                atom("narrow", v.a, v.b),
+                atom("keyed", v.a, 7),
+            ],
+        )
+        assert [s.rel for s in engine._plan(r, None)] == ["keyed", "narrow", "wide"]
+        assert [s.rel for s in engine._plan(r, 0)] == ["wide", "narrow", "keyed"]
+
+
+class TestCompiledPatterns:
+    def test_repeated_variable_in_one_atom_and_in_one_struct(self):
+        relations = {"pair": 2, "boxed": 1, "seed": 1, "same": 1, "twin": 1, "seeded": 1}
+        rules = [
+            rule("same", [atom("same", v.x)], [atom("pair", v.x, v.x)]),
+            rule("twin", [atom("twin", v.x)], [atom("boxed", T("VAddress", v.x, v.x))]),
+            # pair(y, y) is joined after seed with y unbound on neither
+            # column: the repeat is checked inside the loop, not keyed.
+            rule(
+                "seeded",
+                [atom("seeded", v.y)],
+                [atom("seed", v.s), atom("boxed", T("VAddress", v.s, v.y)), atom("pair", v.y, v.y)],
+            ),
+        ]
+        out = saturate_both_ways(
+            relations,
+            rules,
+            {
+                "pair": {(1, 1), (1, 2), (2, 3), (3, 3)},
+                "boxed": {(VAddr(1, 1),), (VAddr(1, 2),), (VAddr(2, 3),)},
+                "seed": {(2,)},
+            },
+        )
+        assert out.tuples("same") == {(1,), (3,)}
+        assert out.tuples("twin") == {(1,)}
+        assert out.tuples("seeded") == {(3,)}
+
+    def test_constant_inside_a_struct(self):
+        relations = {"state": 2, "truthy": 1, "at_zero": 2}
+        rules = [
+            # A ground struct is an index key; one with a variable is
+            # destructured and its constant field compared.
+            rule("truthy", [atom("truthy", v.k)], [atom("state", T("Bool", "#t"), v.k)]),
+            rule("at-zero", [atom("at_zero", v.x, v.k)], [atom("state", T("VAddress", v.x, 0), v.k)]),
+        ]
+        out = saturate_both_ways(
+            relations,
+            rules,
+            {
+                "state": {
+                    (Bool("#t"), 1),
+                    (Bool("#f"), 2),
+                    (VAddr("a", 0), 3),
+                    (VAddr("b", 1), 4),
+                    (Number(0), 5),
+                }
+            },
+        )
+        assert out.tuples("truthy") == {(1,)}
+        assert out.tuples("at_zero") == {("a", 3)}
+
+    def test_step_with_every_column_ground_is_a_membership_test(self):
+        relations = {"left": 2, "right": 2, "flag": 1, "both": 2}
+        rules = [
+            rule(
+                "both",
+                [atom("both", v.x, v.y)],
+                [atom("left", v.x, v.y), atom("right", v.x, v.y), atom("flag", 1)],
+            )
+        ]
+        (r,) = rules
+        # right(x, y) and flag(1) are both fully ground once left binds x, y.
+        assert [s.key_cols for s in engine._plan(r, 0)] == [(), (0, 1), (0,)]
+        facts = {"left": {(1, 2), (2, 3), (3, 4)}, "right": {(1, 2), (3, 4), (3, 5)}}
+        out = saturate_both_ways(relations, rules, {**facts, "flag": {(1,)}})
+        assert out.tuples("both") == {(1, 2), (3, 4)}
+        out = saturate_both_ways(relations, rules, {**facts, "flag": {(2,)}})
+        assert out.tuples("both") == set()
+
+    def test_first_step_keyed_only_on_constants(self):
+        relations = {"arg": 3, "flag": 2, "zeroes": 2, "yes": 1}
+        rules = [
+            rule("zeroes", [atom("zeroes", v.x, v.y)], [atom("arg", v.x, 0, v.y)]),
+            rule("yes", [atom("yes", 1)], [atom("flag", 1, "on")]),
+        ]
+        zeroes, yes = rules
+        assert engine._plan(zeroes, None)[0].key_cols == (1,)
+        assert engine._plan(yes, None)[0].key_cols == (0, 1)
+        facts = {"arg": {("a", 0, "p"), ("a", 1, "q"), ("b", 0, "r")}}
+        out = saturate_both_ways(relations, rules, {**facts, "flag": {(1, "on")}})
+        assert out.tuples("zeroes") == {("a", "p"), ("b", "r")}
+        assert out.tuples("yes") == {(1,)}
+        out = saturate_both_ways(relations, rules, {**facts, "flag": {(1, "off"), (2, "on")}})
+        assert out.tuples("yes") == set()
+
+    def test_struct_pattern_against_a_context_of_another_arity(self):
+        e1, e2 = Label("e1"), Label("e2")
+        relations = {"at": 2, "one": 2, "flat": 1}
+        rules = [
+            rule("one", [atom("one", v.k, v.e)], [atom("at", v.k, T("Context", v.e))]),
+            rule("flat", [atom("flat", v.k)], [atom("at", v.k, T("Context"))]),
+        ]
+        out = saturate_both_ways(
+            relations,
+            rules,
+            {"at": {(1, Context()), (2, Context(e1)), (3, Context(e1, e2)), (4, Number(1))}},
+        )
+        assert out.tuples("one") == {(2, e1)}
+        assert out.tuples("flat") == {(1,)}
+
+    def test_names_that_are_not_identifiers_stay_out_of_the_source(self, plan_texts):
+        x = PVar("x-1")
+        relations = {"a'b": 2, "out rel": 1, "seed": 1}
+        rules = [
+            rule("r 1 'quoted'", [atom("out rel", x)], [atom("seed", x), atom("a'b", x, x)]),
+            rule("copy\n", [atom("a'b", x, "k'")], [atom("seed", x)]),
+        ]
+        out = saturate_both_ways(relations, rules, {"seed": {("s",), ("t",)}, "a'b": {("s", "s")}})
+        assert out.tuples("out rel") == {("s",)}
+        assert out.tuples("a'b") == {("s", "s"), ("s", "k'"), ("t", "k'")}
+        assert plan_texts
+        for text in plan_texts:
+            for name in plan_names(text) - PLAN_WORDS:
+                assert re.fullmatch(r"[vtKCFRIN][0-9]+", name), (name, text)
+
+    def test_analysis_plans_hold_only_generated_names(self, plan_texts, corpus_programs):
+        for naive in (False, True):
+            analysis.analyze(corpus_programs["17_vanhorn"], config(m=1), naive=naive)
+        assert len(plan_texts) > 50
+        for text in plan_texts:
+            for name in plan_names(text) - PLAN_WORDS:
+                assert re.fullmatch(r"[vtKCFRIN][0-9]+", name), (name, text)
+
+
+class TestNoPerRunState:
+    def test_saturate_leaves_nothing_alive(self):
+        def twice(n):
+            return n * 2
+
+        rs = build_ruleset(
+            {"num": 1, "doubled": 1},
+            [rule("double", [atom("doubled", A(twice, v.n))], [atom("num", v.n)])],
+        )
+        store = TupleStore(rs.relations)
+        store.bulk_add("num", {(1,), (2,)})
+        refs = [weakref.ref(rs), weakref.ref(twice)]
+        # Without the cycle collector, only reference counts free the plans:
+        # nothing of the run may be cached or caught in a cycle.
+        gc.disable()
+        try:
+            out, _ = saturate(rs, store)
+            del rs, twice
+            assert [ref() for ref in refs] == [None, None]
+            out_ref = weakref.ref(out)
+            del out
+            assert out_ref() is None
+        finally:
+            gc.enable()
