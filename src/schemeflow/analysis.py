@@ -1,15 +1,18 @@
 """The m-CFA control-flow analysis as deductive rules over the engine.
 
-The rule groups mirror the reference rule set one-for-one (disjunctive
-bodies split into one rule each), generalized over the context parameter
-``m``:  contexts are built by ``make_context`` instead of a fixed-width
+The rule groups follow the reference rule set (disjunctive bodies split
+into one rule each), generalized over the context parameter ``m``:
+contexts are built by ``make_context`` instead of a fixed-width
 constructor, and primitive results are widened to a configurable depth at
-construction.  ``analyze`` extracts facts, installs every group, saturates,
-and returns the derived relations.
+construction.  Where the reference set spells a conditional's truthiness as
+one rule per value shape, two rules test the value with a guard.
+``analyze`` extracts facts, installs every group, saturates, and returns
+the derived relations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from schemeflow.engine import (
@@ -21,7 +24,6 @@ from schemeflow.engine import (
     WILD,
     atom,
     build_ruleset,
-    neq,
     rule,
     saturate,
     v,
@@ -29,6 +31,7 @@ from schemeflow.engine import (
 from schemeflow.errors import ValidationError
 from schemeflow.frontend import EDB, EDB_SCHEMA, LabeledProgram, extract_facts
 from schemeflow.terms import (
+    Bool,
     EMPTY_CONTEXT,
     KAddr,
     MT_FRAME,
@@ -46,22 +49,15 @@ TRUTHINESS_MODES = ("both-branches", "appendix-exact")
 
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis knobs.
-
-    ``strict_appendix`` pins the reference behavior exactly: no widening and
-    appendix-exact truthiness (PrimVal/NumTop guards take no branch).
-    """
+    """Analysis knobs.  ``widen_depth=None`` with appendix-exact truthiness
+    (PrimVal/NumTop guards take no branch) is the reference behavior."""
 
     m: int = 0
     widen_depth: int | None = 2
     primval_truthiness: str = "both-branches"
-    strict_appendix: bool = False
     fact_ceiling: int | None = None
 
     def __post_init__(self) -> None:
-        if self.strict_appendix:
-            object.__setattr__(self, "widen_depth", None)
-            object.__setattr__(self, "primval_truthiness", "appendix-exact")
         if self.m < 0:
             raise ValidationError("m must be >= 0")
         if self.widen_depth is not None and self.widen_depth < 1:
@@ -98,7 +94,6 @@ class AnalysisResult:
 
     config: AnalysisConfig
     relations: dict[str, set[tuple]]
-    edb: EDB
     engine: str  # "seminaive" | "naive" | "worklist"
     rounds: int = 0
     peak_facts: int = 0
@@ -181,7 +176,7 @@ def freevar_rules() -> list[Rule]:
                 atom("freevar", v.x, v.body),
                 atom("lambda_arg_list", v.vars, WILD, v.p),
             ],
-            guards=[neq(v.x, v.p)],
+            guards=[A(operator.ne, v.x, v.p)],
         ),
         fv("fv-call-func", [atom("call", v.e, v.func, WILD), atom("freevar", v.x, v.func)]),
         fv("fv-call-args", [atom("call", v.e, WILD, v.args), atom("freevar", v.x, v.args)]),
@@ -197,7 +192,7 @@ def freevar_rules() -> list[Rule]:
         fv(
             "fv-letlist",
             [atom("let_list", v.e, v.a, v.bind), atom("freevar", v.x, v.bind)],
-            guards=[neq(v.x, v.a)],
+            guards=[A(operator.ne, v.x, v.a)],
         ),
     ]
 
@@ -326,65 +321,56 @@ def atomic_rules() -> list[Rule]:
     ]
 
 
-# Value shapes a conditional treats as true/false.  The reference set sends
-# neither PrimVal nor NumTop anywhere; both-branches mode (default) sends
-# each to both branches so opaque guards stay sound.
-_TRUTHY_BASE = (
-    ("bool-t", lambda: T("Bool", "#t")),
-    ("closure", lambda: T("Closure", WILD, WILD)),
-    ("number", lambda: T("Number", WILD)),
-    ("kont", lambda: T("Kont", WILD)),
-)
-_FALSY_BASE = (("bool-f", lambda: T("Bool", "#f")),)
-_OPAQUE = (
-    ("primval", lambda: T("PrimVal", WILD, WILD, WILD)),
-    ("numtop", lambda: T("NumTop")),
-)
+def _branch_tests(cfg: AnalysisConfig):
+    """``truthy(val)`` and ``falsy(val)``: whether a conditional whose guard
+    is ``val`` takes its then and its else branch.  The reference set sends
+    neither PrimVal nor NumTop anywhere; both-branches mode (default) sends
+    each to both branches so opaque guards stay sound."""
+    opaque = {"PrimVal", "NumTop"} if cfg.primval_truthiness == "both-branches" else set()
+    truthy_tags = {"Closure", "Number", "Kont"} | opaque
+    true, false = Bool("#t"), Bool("#f")
+
+    def truthy(val):
+        return val is true or val.tag in truthy_tags
+
+    def falsy(val):
+        return val is false or val.tag in opaque
+
+    return truthy, falsy
 
 
 def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
     widen = _widen_pv(cfg)
+    truthy, falsy = _branch_tests(cfg)
 
     def ka(e, ctx):
         return T("KAddress", e, ctx)
 
-    truthy = list(_TRUTHY_BASE)
-    falsy = list(_FALSY_BASE)
-    if cfg.primval_truthiness == "both-branches":
-        truthy += list(_OPAQUE)
-        falsy += list(_OPAQUE)
-
-    rules: list[Rule] = []
-    for suffix, pat in truthy:
-        rules.append(
-            rule(
-                f"a-if-true-{suffix}",
-                heads=[
-                    atom("state_e", v.et, v.ctx_k, v.next_ak),
-                    atom("flow_ae", T("Bool", "#t"), v.et),
-                ],
-                body=[
-                    atom("state_a", pat(), v.ak),
-                    atom("stored_kont", v.ak, T("If", v.et, WILD, v.ctx_k, v.next_ak)),
-                ],
-            )
-        )
-    for suffix, pat in falsy:
-        rules.append(
-            rule(
-                f"a-if-false-{suffix}",
-                heads=[
-                    atom("state_e", v.ef, v.ctx_k, v.next_ak),
-                    atom("flow_ae", T("Bool", "#f"), v.ef),
-                ],
-                body=[
-                    atom("state_a", pat(), v.ak),
-                    atom("stored_kont", v.ak, T("If", WILD, v.ef, v.ctx_k, v.next_ak)),
-                ],
-            )
-        )
-
-    rules += [
+    return [
+        rule(
+            "a-if-true",
+            heads=[
+                atom("state_e", v.et, v.ctx_k, v.next_ak),
+                atom("flow_ae", T("Bool", "#t"), v.et),
+            ],
+            body=[
+                atom("state_a", v.val, v.ak),
+                atom("stored_kont", v.ak, T("If", v.et, WILD, v.ctx_k, v.next_ak)),
+            ],
+            guards=[A(truthy, v.val)],
+        ),
+        rule(
+            "a-if-false",
+            heads=[
+                atom("state_e", v.ef, v.ctx_k, v.next_ak),
+                atom("flow_ae", T("Bool", "#f"), v.ef),
+            ],
+            body=[
+                atom("state_a", v.val, v.ak),
+                atom("stored_kont", v.ak, T("If", WILD, v.ef, v.ctx_k, v.next_ak)),
+            ],
+            guards=[A(falsy, v.val)],
+        ),
         rule(
             "a-callcc",
             heads=[
@@ -499,7 +485,6 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
             ],
         ),
     ]
-    return rules
 
 
 def build_rules(cfg: AnalysisConfig) -> list[Rule]:
@@ -522,13 +507,13 @@ def build_analysis_ruleset(cfg: AnalysisConfig) -> RuleSet:
 
 
 def analyze(
-    program: LabeledProgram | EDB,
+    program: LabeledProgram,
     cfg: AnalysisConfig | None = None,
     *,
     naive: bool = False,
 ) -> AnalysisResult:
     cfg = cfg or AnalysisConfig()
-    edb = extract_facts(program) if isinstance(program, LabeledProgram) else program
+    edb = extract_facts(program)
     store = TupleStore()
     for name in ALL_RELATIONS:
         store.ensure(name)
@@ -542,7 +527,6 @@ def analyze(
     return AnalysisResult(
         config=cfg,
         relations=relations,
-        edb=edb,
         engine="naive" if naive else "seminaive",
         rounds=stats.rounds,
         peak_facts=stats.peak_facts,

@@ -73,18 +73,20 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--truthiness",
         choices=("both-branches", "appendix-exact"),
-        default="both-branches",
         help="how opaque guard values (PrimVal/NumTop) branch (default both-branches)",
     )
 
 
 def _config(args: argparse.Namespace) -> AnalysisConfig:
+    widen_depth, truthiness = args.widen_depth, args.truthiness or "both-branches"
     if args.strict_appendix:
-        return AnalysisConfig(m=args.m, strict_appendix=True, fact_ceiling=_fact_ceiling())
+        if args.truthiness is not None:
+            raise ValidationError("--strict-appendix sets appendix-exact truthiness; omit --truthiness")
+        widen_depth, truthiness = None, "appendix-exact"
     return AnalysisConfig(
         m=args.m,
-        widen_depth=args.widen_depth,
-        primval_truthiness=args.truthiness,
+        widen_depth=widen_depth,
+        primval_truthiness=truthiness,
         fact_ceiling=_fact_ceiling(),
     )
 

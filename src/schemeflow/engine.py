@@ -4,8 +4,9 @@ Rules are built programmatically: atoms name a declared relation and carry
 patterns over columns.  Patterns can bind variables, match nested term
 constructors (destructuring interned terms by tag), compare against
 constants, and — in heads only — call registered builder functions to
-compute a column from bound variables.  Disequality (``x != y``) is the one
-built-in body constraint; there is no negation.
+compute a column from bound variables.  A rule's guards are builder calls
+too: a row passes only when every guard returns true.  There is no
+negation.
 
 Evaluation is stratified by mutual reachability in the head/body dependency
 graph: two relations share a stratum when each depends, directly or not, on
@@ -92,7 +93,7 @@ class PStruct(Pattern):
 
 
 class PApply(Pattern):
-    """Head-only: compute a column as ``fn(*fields)`` over bound variables."""
+    """``fn(*fields)`` over bound variables: a head column, or a guard."""
 
     __slots__ = ("fn", "fields", "label")
 
@@ -150,26 +151,11 @@ def atom(rel: str, *patterns: object) -> Atom:
 
 
 @dataclass(frozen=True)
-class NotEq:
-    """Built-in disequality between a variable and a variable or constant."""
-
-    left: Pattern
-    right: Pattern
-
-    def __repr__(self) -> str:
-        return f"{self.left!r} != {self.right!r}"
-
-
-def neq(left: object, right: object) -> NotEq:
-    return NotEq(coerce(left), coerce(right))
-
-
-@dataclass(frozen=True)
 class Rule:
     name: str
     heads: tuple[Atom, ...]
     body: tuple[Atom, ...]
-    guards: tuple[NotEq, ...] = ()
+    guards: tuple[PApply, ...] = ()
 
     def __repr__(self) -> str:
         heads = ", ".join(map(repr, self.heads))
@@ -177,7 +163,7 @@ class Rule:
         return f"{heads} :- {', '.join(parts)}."
 
 
-def rule(name: str, heads: Sequence[Atom], body: Sequence[Atom], guards: Sequence[NotEq] = ()) -> Rule:
+def rule(name: str, heads: Sequence[Atom], body: Sequence[Atom], guards: Sequence[PApply] = ()) -> Rule:
     return Rule(name, tuple(heads), tuple(body), tuple(guards))
 
 
@@ -229,9 +215,10 @@ def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
             if unbound:
                 raise RuleError(f"{r.name}: head variables {sorted(unbound)} not bound by body")
         for g in r.guards:
+            if not isinstance(g, PApply):
+                raise RuleError(f"{r.name}: guard {g!r} is not a builder call")
             guard_vars: set[str] = set()
-            _pattern_vars(g.left, guard_vars, allow_apply=False)
-            _pattern_vars(g.right, guard_vars, allow_apply=False)
+            _pattern_vars(g, guard_vars, allow_apply=True)
             if guard_vars - body_vars:
                 raise RuleError(f"{r.name}: guard uses unbound variables")
     ruleset = RuleSet(dict(relations), rules)
@@ -489,7 +476,7 @@ def _join_function(r: Rule, steps: list[_Step], store: TupleStore, delta: bool) 
         src.depth += 1
         src.unpacked()
     for g in r.guards:
-        src.line(f"if {src.build(g.left)} == {src.build(g.right)}: {src.skip()}")
+        src.line(f"if not {src.build(g)}: {src.skip()}")
     for h in r.heads:
         row = _tuple([src.build(p) for p in h.patterns])
         src.line(f"out.append(({src.name('N', h.rel)}, {row}))")
@@ -499,7 +486,7 @@ def _join_function(r: Rule, steps: list[_Step], store: TupleStore, delta: bool) 
     return _make_function(text)(*src.values.values())
 
 
-# The analysis rule set compiles to 94 distinct texts over both truthiness
+# The analysis rule set compiles to 76 distinct texts over both truthiness
 # modes, semi-naive and naive; the memo holds them all with room to spare.
 @functools.lru_cache(maxsize=256)
 def _make_function(text: str) -> Callable:

@@ -21,9 +21,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from schemeflow.errors import ParseError, ValidationError
+from schemeflow.serialize import relation_text
 from schemeflow.terms import Label
 
-DEFAULT_PRIM_OPS = frozenset({"+", "-", "*", "=", "<", "cons", "car", "cdr", "and", "or"})
+PRIM_OPS = frozenset({"+", "-", "*", "=", "<", "cons", "car", "cdr", "and", "or"})
 
 _INT_RE = re.compile(r"^-?[0-9]+$")
 _BAD_IDENT_CHARS = set("()[]'\"`,;#")
@@ -200,7 +201,6 @@ class LabeledProgram:
     root: Label
     nodes: dict[Label, Node]
     original_names: dict[str, str]
-    prim_ops: frozenset[str]
     _free_vars: dict[Label, frozenset[str]] = field(default_factory=dict, repr=False)
 
     def node(self, label: Label) -> Node:
@@ -224,8 +224,7 @@ def _is_identifier(tok: str) -> bool:
 
 
 class _Builder:
-    def __init__(self, prim_ops: frozenset[str], allow_quote: bool) -> None:
-        self.prim_ops = prim_ops
+    def __init__(self, allow_quote: bool) -> None:
         self.allow_quote = allow_quote
         self.nodes: dict[Label, Node] = {}
         self.original_names: dict[str, str] = {}
@@ -271,7 +270,7 @@ class _Builder:
                 "quote": self._build_quote,
             }
             return special[head.atom](sx, env)
-        if head.is_atom and head.atom in self.prim_ops:
+        if head.is_atom and head.atom in PRIM_OPS:
             return self._build_prim(sx, env)
         return self._build_call(sx, env)
 
@@ -424,7 +423,7 @@ class _Builder:
 
     def _check_not_prim(self, names: list[str], sx: SExpr) -> None:
         for name in names:
-            if name in self.prim_ops:
+            if name in PRIM_OPS:
                 raise ValidationError(
                     f"cannot bind primitive operator name {name!r}", sx.line, sx.col
                 )
@@ -441,25 +440,17 @@ def _datum_text(sx: SExpr) -> str:
     return "(" + " ".join(_datum_text(i) for i in sx.items) + ")"
 
 
-def label_program(
-    forms: list[SExpr],
-    prim_ops: frozenset[str] = DEFAULT_PRIM_OPS,
-    allow_quote: bool = False,
-) -> LabeledProgram:
+def label_program(forms: list[SExpr], allow_quote: bool = False) -> LabeledProgram:
     """Label one top-level form in pre-order and alpha-rename its binders."""
     if len(forms) != 1:
         raise ValidationError(f"expected exactly one top-level expression, got {len(forms)}")
-    builder = _Builder(prim_ops, allow_quote)
+    builder = _Builder(allow_quote)
     root = builder.build(forms[0], {})
-    return LabeledProgram(root, builder.nodes, builder.original_names, prim_ops)
+    return LabeledProgram(root, builder.nodes, builder.original_names)
 
 
-def read_program(
-    text: str,
-    prim_ops: frozenset[str] = DEFAULT_PRIM_OPS,
-    allow_quote: bool = False,
-) -> LabeledProgram:
-    return label_program(read_sexprs(text), prim_ops, allow_quote)
+def read_program(text: str, allow_quote: bool = False) -> LabeledProgram:
+    return label_program(read_sexprs(text), allow_quote)
 
 
 # ---------------------------------------------------------------------------
@@ -557,15 +548,7 @@ class EDB:
         out = Path(path)
         out.mkdir(parents=True, exist_ok=True)
         for name in EDB_SCHEMA:
-            lines = sorted("\t".join(_fact_col(c) for c in row) for row in self.facts[name])
-            text = "".join(line + "\n" for line in lines)
-            (out / f"{name}.facts").write_text(text, encoding="utf-8")
-
-
-def _fact_col(c: object) -> str:
-    if isinstance(c, Label):
-        return c.text
-    return str(c)
+            (out / f"{name}.facts").write_text(relation_text(self.facts[name]), encoding="utf-8")
 
 
 def extract_facts(p: LabeledProgram) -> EDB:

@@ -26,7 +26,6 @@ from schemeflow.frontend import (
     BoolNode,
     CallNode,
     CallccNode,
-    EDB,
     IfNode,
     LabeledProgram,
     LambdaNode,
@@ -332,14 +331,11 @@ class Machine:
         self.steps = 0
         self.total_facts = 0
         self.ceiling = cfg.fact_ceiling
-        self._edb: EDB | None = None
         self.trace = trace
 
     def _t(self, rule: str, *cols) -> None:
         if self.trace is not None:
-            self.trace(
-                rule + "\t" + " ".join(render(c) if isinstance(c, Term) else str(c) for c in cols)
-            )
+            self.trace(rule + "\t" + " ".join(map(render, cols)))
 
     # -- fact intake ---------------------------------------------------
 
@@ -416,8 +412,7 @@ class Machine:
 
     def start(self) -> None:
         """Seed the free-variable relation and the injected initial facts."""
-        self._edb = extract_facts(self.program)
-        self.total_facts = sum(len(rows) for rows in self._edb.facts.values())
+        self.total_facts = sum(len(rows) for rows in extract_facts(self.program).facts.values())
         for e in self.program.nodes:
             for x in self.program.free_vars(e):
                 self.emit("freevar", (x, e))
@@ -438,7 +433,6 @@ class Machine:
         return AnalysisResult(
             config=self.cfg,
             relations={name: set(rows) for name, rows in self.relations.items()},
-            edb=self._edb,
             engine="worklist",
             rounds=self.steps,
             peak_facts=self.total_facts,

@@ -2,16 +2,21 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from schemeflow.analysis import (
     ALL_RELATIONS,
     AnalysisConfig,
     IDB_SCHEMA,
+    TRUTHINESS_MODES,
     analyze,
     build_analysis_ruleset,
+    build_rules,
     inject,
 )
+from schemeflow.cli import main
 from schemeflow.engine import TupleStore, saturate
 from schemeflow.errors import FactCeilingExceeded, ValidationError
 from schemeflow.frontend import (
@@ -60,10 +65,13 @@ class TestConfig:
         cfg = AnalysisConfig()
         assert (cfg.m, cfg.widen_depth, cfg.primval_truthiness) == (0, 2, "both-branches")
 
-    def test_strict_appendix_coerces(self):
-        cfg = AnalysisConfig(strict_appendix=True)
-        assert cfg.widen_depth is None
-        assert cfg.primval_truthiness == "appendix-exact"
+    def test_strict_appendix_coerces(self, tmp_path, capsys):
+        program = tmp_path / "prog.scm"
+        program.write_text("42\n")
+        assert main(["analyze", str(program), "--out", str(tmp_path / "x"), "--strict-appendix"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["widen_depth"] is None
+        assert report["truthiness"] == "appendix-exact"
 
     def test_invalid_m(self):
         with pytest.raises(ValidationError):
@@ -255,6 +263,14 @@ class TestApplyRules:
         numbers = {v.args[0] for v, _ in result.relations["state_a"] if v.tag == "Number"}
         assert numbers.isdisjoint({10, 20})
 
+    def test_one_rule_per_branch_in_both_truthiness_modes(self):
+        names = [
+            [r.name for r in build_rules(config(primval_truthiness=mode))]
+            for mode in TRUTHINESS_MODES
+        ]
+        assert names[0] == names[1]
+        assert [n for n in names[0] if n.startswith("a-if")] == ["a-if-true", "a-if-false"]
+
     def test_branch_flow_edges_use_constant_booleans(self):
         result = analyze(read_program("(if #t 1 2)"), config())
         assert (Bool("#t"), L(2)) in result.relations["flow_ae"]
@@ -266,13 +282,6 @@ class TestAnalyze:
         assert len(result.relations["state_e"]) == 1
         assert len(result.relations["state_a"]) == 1
         assert len(result.relations["stored_val"]) == 0
-
-    def test_accepts_program_or_edb(self):
-        program = read_program("(+ 1 2)")
-        cfg = config()
-        via_program = analyze(program, cfg)
-        via_edb = analyze(extract_facts(program), cfg)
-        assert via_program.relations == via_edb.relations
 
     def test_deterministic(self):
         a = analyze(read_program(CONFLATE), config(m=1))

@@ -202,6 +202,15 @@ class TestFailureModes:
         assert main(argv) == 2
         assert "fact ceiling exceeded" in capsys.readouterr().err
 
+    def test_strict_appendix_with_truthiness_exits_1(self, tmp_path, program_file, capsys):
+        for mode in ("both-branches", "appendix-exact"):
+            argv = ["analyze", str(program_file), "--out", str(tmp_path / "x")]
+            assert main(argv + ["--strict-appendix", "--truthiness", mode]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
+
     def test_bad_ceiling_env_rejected(self, tmp_path, program_file, monkeypatch, capsys):
         monkeypatch.setenv("SCHEMEFLOW_FACT_CEILING", "lots")
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "x")]) == 1

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import io
 import keyword
+import operator
 import random
 import re
 import tokenize
@@ -23,7 +24,6 @@ from schemeflow.engine import (
     WILD,
     atom,
     build_ruleset,
-    neq,
     rule,
     saturate,
     v,
@@ -105,9 +105,15 @@ class TestBuildRuleset:
             "r",
             [atom("ancestor", v.p, v.p)],
             [atom("parent", v.p, WILD)],
-            [neq(v.p, v.unbound)],
+            [A(operator.ne, v.p, v.unbound)],
         )
         with pytest.raises(RuleError):
+            build_ruleset(ANCESTOR_RELATIONS, [bad])
+
+    @pytest.mark.parametrize("guard", [v.p, T("Number", v.p), operator.ne, True])
+    def test_guard_must_be_a_builder_call(self, guard):
+        bad = rule("r", [atom("ancestor", v.p, v.p)], [atom("parent", v.p, WILD)], [guard])
+        with pytest.raises(RuleError, match="not a builder call"):
             build_ruleset(ANCESTOR_RELATIONS, [bad])
 
     def test_analysis_freevar_stratum_precedes_state_stratum(self):
@@ -230,13 +236,32 @@ class TestTermPatterns:
                 "keep",
                 [atom("diff", v.a, v.b)],
                 [atom("pairs", v.a, v.b)],
-                [neq(v.a, v.b)],
+                [A(operator.ne, v.a, v.b)],
             )
         ]
         store = TupleStore(relations)
         store.bulk_add("pairs", {(1, 1), (1, 2), (2, 2), (3, 1)})
         out, _ = saturate(build_ruleset(relations, rules), store)
         assert out.tuples("diff") == {(1, 2), (3, 1)}
+
+    def test_guard_over_a_struct_and_a_constant(self):
+        def below(box, limit):
+            return box.args[0] < limit
+
+        relations = {"num": 1, "small": 1}
+        rules = [
+            # The recursive rule stops once its guard fails: 0, 1, 2, 3.
+            rule(
+                "succ",
+                [atom("num", A(lambda n: n + 1, v.n, label="succ"))],
+                [atom("num", v.n)],
+                [A(below, T("Number", v.n), 3)],
+            ),
+            rule("small", [atom("small", v.n)], [atom("num", v.n)], [A(below, T("Number", v.n), 2)]),
+        ]
+        out = saturate_both_ways(relations, rules, {"num": {(0,)}})
+        assert out.tuples("num") == {(0,), (1,), (2,), (3,)}
+        assert out.tuples("small") == {(0,), (1,)}
 
 
 class TestBodyOrder:
@@ -424,11 +449,11 @@ class TestCompiledPatterns:
         relations = {"a'b": 2, "out rel": 1, "seed": 1}
         rules = [
             rule("r 1 'quoted'", [atom("out rel", x)], [atom("seed", x), atom("a'b", x, x)]),
-            rule("copy\n", [atom("a'b", x, "k'")], [atom("seed", x)]),
+            rule("copy\n", [atom("a'b", x, "k'")], [atom("seed", x)], [A(lambda s: s != "t", x)]),
         ]
         out = saturate_both_ways(relations, rules, {"seed": {("s",), ("t",)}, "a'b": {("s", "s")}})
         assert out.tuples("out rel") == {("s",)}
-        assert out.tuples("a'b") == {("s", "s"), ("s", "k'"), ("t", "k'")}
+        assert out.tuples("a'b") == {("s", "s"), ("s", "k'")}
         assert plan_texts
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:

@@ -137,7 +137,7 @@ class TestRunFixpoint:
         assert result.config.m == 0
 
     def test_ceiling_trips_in_strict_mode(self):
-        cfg = AnalysisConfig(strict_appendix=True, fact_ceiling=30_000)
+        cfg = AnalysisConfig(widen_depth=None, primval_truthiness="appendix-exact", fact_ceiling=30_000)
         with pytest.raises(FactCeilingExceeded):
             run_fixpoint(read_program(corpus("18_loop_widen")), cfg)
 
