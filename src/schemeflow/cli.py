@@ -5,7 +5,7 @@ engine path), ``oracle`` (worklist machine path), ``diff`` (run both and
 compare), ``gen-term`` (emit a generated program), ``bench`` (analyze a
 generated program and report sizes/timing).
 
-Exit codes: 0 success; 1 parse or validation error, unreadable input,
+Exit codes: 0 success; 1 usage, parse or validation error, unreadable input,
 unwritable output, or a program nested too deeply; 2 fact-ceiling exceeded
 (likely divergence); 3 diff mismatch.  Output directories contain
 only relation files and are byte-deterministic; the run report goes to
@@ -199,8 +199,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means the fact ceiling."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="schemeflow", description=__doc__.split("\n\n")[0])
+    parser = _Parser(prog="schemeflow", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_program_cmd(name: str, func, help_text: str, *, config: bool, out: bool):

@@ -201,12 +201,12 @@ class LabeledProgram:
     root: Label
     nodes: dict[Label, Node]
     original_names: dict[str, str]
-    _free_vars: dict[Label, frozenset[str]] = field(default_factory=dict, repr=False)
+    _free_vars: dict[Label, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
     def node(self, label: Label) -> Node:
         return self.nodes[label]
 
-    def free_vars(self, e: Label) -> frozenset[str]:
+    def free_vars(self, e: Label) -> tuple[str, ...]:
         return syntactic_free_vars(self, e)
 
 
@@ -458,7 +458,7 @@ def read_program(text: str, allow_quote: bool = False) -> LabeledProgram:
 # ---------------------------------------------------------------------------
 
 
-def syntactic_free_vars(p: LabeledProgram, e: Label) -> frozenset[str]:
+def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
     """Free variables of the sub-expression at ``e``, per the rule scoping.
 
     Deliberate quirks, identical to the deductive rules: a multi-parameter
@@ -466,54 +466,51 @@ def syntactic_free_vars(p: LabeledProgram, e: Label) -> frozenset[str]:
     a let's body is not filtered by the let's binding names (only each
     binding expression is filtered by its own name); and the target of a
     ``set!`` is not itself a use.
+
+    The result is sorted, so iterating it does not depend on string hashing,
+    and it is computed once per label and program.
     """
     cached = p._free_vars.get(e)
     if cached is not None:
         return cached
     node = p.nodes[e]
-    fv: frozenset[str]
+    fv: set[str]
     if isinstance(node, VarNode):
-        fv = frozenset({node.name})
+        fv = {node.name}
     elif isinstance(node, (NumNode, BoolNode, PrimOpNode, DatumNode, QuoteNode)):
-        fv = frozenset()
+        fv = set()
     elif isinstance(node, LambdaNode):
         body = syntactic_free_vars(p, node.body)
         params = [renamed for _, renamed, _ in node.params]
-        fv = frozenset(x for x in body if any(v != x for v in params))
+        fv = {x for x in body if any(v != x for v in params)}
     elif isinstance(node, IfNode):
-        fv = (
-            syntactic_free_vars(p, node.guard)
-            | syntactic_free_vars(p, node.then)
-            | syntactic_free_vars(p, node.other)
-        )
-    elif isinstance(node, SetNode):
-        fv = syntactic_free_vars(p, node.expr)
-    elif isinstance(node, CallccNode):
-        fv = syntactic_free_vars(p, node.expr)
+        fv = {
+            *syntactic_free_vars(p, node.guard),
+            *syntactic_free_vars(p, node.then),
+            *syntactic_free_vars(p, node.other),
+        }
+    elif isinstance(node, (SetNode, CallccNode)):
+        fv = set(syntactic_free_vars(p, node.expr))
     elif isinstance(node, LetNode):
-        fv = syntactic_free_vars(p, node.binds_label) | syntactic_free_vars(p, node.body)
+        fv = {*syntactic_free_vars(p, node.binds_label), *syntactic_free_vars(p, node.body)}
     elif isinstance(node, PrimCallNode):
-        fv = syntactic_free_vars(p, node.args_label)
+        fv = set(syntactic_free_vars(p, node.args_label))
     elif isinstance(node, CallNode):
-        fv = syntactic_free_vars(p, node.func) | syntactic_free_vars(p, node.args_label)
+        fv = {*syntactic_free_vars(p, node.func), *syntactic_free_vars(p, node.args_label)}
     elif isinstance(node, ListMarkerNode):
         owner = p.nodes[node.owner]
+        fv = set()
         if isinstance(owner, LetNode) and node.label == owner.binds_label:
-            out: set[str] = set()
             for renamed, _, expr in owner.bindings:
-                out |= {x for x in syntactic_free_vars(p, expr) if x != renamed}
-            fv = frozenset(out)
+                fv.update(x for x in syntactic_free_vars(p, expr) if x != renamed)
         elif isinstance(owner, (CallNode, PrimCallNode)) and node.label == owner.args_label:
-            out = set()
             for arg in owner.args:
-                out |= syntactic_free_vars(p, arg)
-            fv = frozenset(out)
-        else:  # a lambda's parameter list: no freevar rule mentions it
-            fv = frozenset()
+                fv.update(syntactic_free_vars(p, arg))
+        # else a lambda's parameter list: no freevar rule mentions it
     else:  # pragma: no cover - exhaustive over node kinds
         raise TypeError(f"unknown node {node!r}")
-    p._free_vars[e] = fv
-    return fv
+    out = p._free_vars[e] = tuple(sorted(fv))
+    return out
 
 
 # ---------------------------------------------------------------------------

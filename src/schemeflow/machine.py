@@ -321,8 +321,11 @@ class Machine:
         self.cfg = cfg
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
         # The global stores (address -> values / frames); they only grow.
-        self.vstore: dict[Term, set[Term]] = {}
-        self.kstore: dict[Term, set[Term]] = {}
+        # Each entry is an insertion-ordered dict used as a set: terms hash
+        # by identity, so iterating a set of them would order the trace by
+        # memory address.
+        self.vstore: dict[Term, dict[Term, None]] = {}
+        self.kstore: dict[Term, dict[Term, None]] = {}
         self.arg_lists = _arg_lists(program)
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
         self.copy_from: dict[Context, list[tuple[Context, Label]]] = {}
@@ -379,7 +382,7 @@ class Machine:
             ak, frame = row
             for val in list(self._avals.get(ak, ())):
                 self.apply(val, ak, frame)
-            self.kstore.setdefault(ak, set()).add(frame)
+            self.kstore.setdefault(ak, {})[frame] = None
         elif rel == "stored_val":
             av, val = row
             for e, ak in self.var_reads.get(av, ()):
@@ -391,7 +394,7 @@ class Machine:
                 if x in self.program.free_vars(elam):
                     self._t("copy", x, ctx, to)
                     self.emit("stored_val", (VAddr(x, to), val))
-            self.vstore.setdefault(av, set()).add(val)
+            self.vstore.setdefault(av, {})[val] = None
         elif rel == "copy_ctx":
             frm, to, e = row
             self.copy_from.setdefault(frm, []).append((to, e))

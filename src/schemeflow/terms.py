@@ -10,6 +10,11 @@ concrete classes.
 
 The canonical textual form of a term is an s-expression such as
 ``(Closure e4 (Context e7))``; see :func:`render`.
+
+Because a term is immutable and shared, two pure functions of it are
+memoized on the term itself: its rendered text is cached on first use, and
+a ``PrimVal``'s nesting depth is fixed when the term is interned.  Both live
+in slots on the term, so the memo is exactly as global as the intern pools.
 """
 
 from __future__ import annotations
@@ -28,12 +33,18 @@ class Term:
     are interned per-class: ``cls(*args)`` returns the existing object when
     one with equal args was built before.  Equality and hashing are therefore
     the inherited identity semantics.
+
+    ``_text`` caches :func:`render`; ``_depth`` is the ``PrimVal`` nesting
+    depth, 0 here and a slot filled at interning in ``PrimVal``.  Neither may
+    share a name with a field (``Label`` has a field ``text``).  Every
+    subclass declares ``__slots__``, so no term carries an instance dict.
     """
 
-    __slots__ = ("args",)
+    __slots__ = ("args", "_text")
     tag: ClassVar[str] = "?"
     _fields: ClassVar[tuple[str, ...]] = ()
     _pool: ClassVar[dict]
+    _depth: ClassVar[int] = 0
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
@@ -48,8 +59,13 @@ class Term:
         if term is None:
             term = object.__new__(cls)
             term.args = args
+            term._text = None
+            term._interned()
             pool[args] = term
         return term
+
+    def _interned(self) -> None:
+        """Fill memo slots that depend only on ``args``; runs once per term."""
 
     def __getattr__(self, name: str):
         try:
@@ -72,6 +88,7 @@ class Term:
 class Label(Term):
     """One source-expression occurrence, e.g. ``e7``.  Atomic in renderings."""
 
+    __slots__ = ()
     tag = "id"
     _fields = ("text",)
 
@@ -79,6 +96,7 @@ class Label(Term):
 class Context(Term):
     """A sequence of at most m labels; ``args`` are the labels themselves."""
 
+    __slots__ = ()
     tag = "Context"
     _fields = ()
 
@@ -91,11 +109,13 @@ EMPTY_CONTEXT = Context()
 
 
 class VAddr(Term):
+    __slots__ = ()
     tag = "VAddress"
     _fields = ("var", "ctx")
 
 
 class KAddr(Term):
+    __slots__ = ()
     tag = "KAddress"
     _fields = ("expr", "ctx")
 
@@ -106,16 +126,19 @@ class KAddr(Term):
 
 
 class Number(Term):
+    __slots__ = ()
     tag = "Number"
     _fields = ("n",)
 
 
 class Bool(Term):
+    __slots__ = ()
     tag = "Bool"
     _fields = ("b",)
 
 
 class Closure(Term):
+    __slots__ = ()
     tag = "Closure"
     _fields = ("lam", "ctx")
 
@@ -123,18 +146,24 @@ class Closure(Term):
 class KontRef(Term):
     """A captured continuation: a first-class reference to a KAddr."""
 
+    __slots__ = ()
     tag = "Kont"
     _fields = ("ka",)
 
 
 class PrimVal(Term):
+    __slots__ = ("_depth",)
     tag = "PrimVal"
     _fields = ("op", "v1", "v2")
+
+    def _interned(self) -> None:
+        self._depth = 1 + max(self.args[1]._depth, self.args[2]._depth)
 
 
 class NumTop(Term):
     """Widening token standing for any value cut off below the depth limit."""
 
+    __slots__ = ()
     tag = "NumTop"
     _fields = ()
 
@@ -148,6 +177,7 @@ NUM_TOP = NumTop()
 
 
 class MT(Term):
+    __slots__ = ()
     tag = "MT"
     _fields = ()
 
@@ -156,41 +186,49 @@ MT_FRAME = MT()
 
 
 class IfK(Term):
+    __slots__ = ()
     tag = "If"
     _fields = ("et", "ef", "ctx", "next")
 
 
 class SetK(Term):
+    __slots__ = ()
     tag = "Set"
     _fields = ("loc", "next")
 
 
 class CallccK(Term):
+    __slots__ = ()
     tag = "Callcc"
     _fields = ("ectx", "next")
 
 
 class LetK(Term):
+    __slots__ = ()
     tag = "Let"
     _fields = ("av", "body", "ctx", "next")
 
 
 class ArgK(Term):
+    __slots__ = ()
     tag = "Arg"
     _fields = ("args_label", "ctx", "ectx", "next")
 
 
 class FnK(Term):
+    __slots__ = ()
     tag = "Fn"
     _fields = ("fn", "pos", "ctx", "next")
 
 
 class Prim1K(Term):
+    __slots__ = ()
     tag = "Prim1"
     _fields = ("op", "e2", "ctx", "next")
 
 
 class Prim2K(Term):
+    __slots__ = ()
     tag = "Prim2"
     _fields = ("op", "v1", "next")
 
@@ -215,10 +253,12 @@ def make_context(call_label: Label, ctx: Context, m: int) -> Context:
 
 
 def primval_depth(v: Term) -> int:
-    """PrimVal nesting depth: non-PrimVal terms are 0, each PrimVal adds 1."""
-    if not isinstance(v, PrimVal):
-        return 0
-    return 1 + max(primval_depth(v.args[1]), primval_depth(v.args[2]))
+    """PrimVal nesting depth: non-PrimVal terms are 0, each PrimVal adds 1.
+
+    O(1): a PrimVal's depth is computed from its children's when it is
+    interned and kept on the term.
+    """
+    return v._depth
 
 
 def _cut(v: Term, remaining: int) -> Term:
@@ -242,7 +282,7 @@ def widen_value(v: Term, depth_limit: int | None) -> Term:
         return v
     if depth_limit < 1:
         raise ValueError("depth_limit must be >= 1 (or None to disable)")
-    if primval_depth(v) <= depth_limit:
+    if v._depth <= depth_limit:
         return v
     return _cut(v, depth_limit)
 
@@ -259,13 +299,21 @@ def render(x: object) -> str:
     s-expression of its tag and rendered args, e.g. ``(Context e7 e3)`` or
     ``(Closure e4 (Context e7))``.  Strings render as themselves and ints in
     decimal, so the form is flat, readable, and totally ordered as text.
+
+    A term's text is built once, from its children's cached text, and kept
+    on the term: rendering a term seen before is one attribute read.
     """
-    if isinstance(x, Label):
-        return x.args[0]
     if isinstance(x, Term):
-        if not x.args:
-            return f"({x.tag})"
-        return f"({x.tag} {' '.join(render(a) for a in x.args)})"
+        text = x._text
+        if text is None:
+            if isinstance(x, Label):
+                text = x.args[0]
+            elif not x.args:
+                text = f"({x.tag})"
+            else:
+                text = f"({x.tag} {' '.join(map(render, x.args))})"
+            x._text = text
+        return text
     if isinstance(x, bool):  # guard: bools are ints in Python
         raise TypeError("raw Python bool is not a term column")
     if isinstance(x, int):

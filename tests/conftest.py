@@ -6,6 +6,7 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from schemeflow.analysis import AnalysisConfig, analyze
 from schemeflow.frontend import read_program
@@ -18,6 +19,13 @@ CORPUS = sorted(CORPUS_DIR.glob("*.scm"))
 # checkout's package too, installed or not.
 SRC_DIR = str(Path(__file__).parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))
+
+# Property tests draw the same examples on every run: derandomized, a fixed
+# budget, and no deadline, so a slow machine cannot fail a test either.
+# HYPOTHESIS_PROFILE names another profile, e.g. ``default`` for
+# Hypothesis's own randomized search.
+settings.register_profile("tier1", derandomize=True, max_examples=100, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "tier1"))
 
 # Programs that exercise every syntactic form at least once; kept under a
 # failsafe fact ceiling so a regression cannot hang the suite.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import filecmp
 import json
+import os
 import subprocess
 import sys
 
@@ -118,8 +119,19 @@ class TestAnalyzeAndOracle:
         argv = ["analyze", str(program_file), "--out", str(out), "--widen-depth", "0"]
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        assert exc.value.code == 1
         assert "widen depth must be >= 1" in capsys.readouterr().err
+
+    def test_strict_appendix_with_widen_depth_exits_1(self, tmp_path, program_file, capsys):
+        # A usage error, not exit 2, which means the fact ceiling.
+        out = tmp_path / "x"
+        argv = ["analyze", str(program_file), "--out", str(out), "--strict-appendix"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--widen-depth", "3"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "error: argument --widen-depth: not allowed with argument --strict-appendix" in err
+        assert not out.exists()
 
     def test_trace_logs_rules_without_changing_results(
         self, tmp_path, program_file, capsys
@@ -136,6 +148,26 @@ class TestAnalyzeAndOracle:
         assert {"e-call", "a-call", "a-halt"} <= rules
         assert read_dir(quiet) == read_dir(traced)
 
+    @pytest.mark.parametrize("name,m", [("17_vanhorn", 0), ("18_loop_widen", 1)])
+    def test_trace_order_is_identical_across_processes(self, tmp_path, name, m):
+        # Each process has its own string-hash seed and first interns a
+        # different number of unrelated terms, which moves every later term
+        # to other addresses.  Neither may change the trace (on stderr).
+        argv = ["oracle", str(CORPUS_DIR / f"{name}.scm"), "--m", str(m), "--trace"]
+        traces = set()
+        for seed in range(4):
+            code = (
+                "import sys; from schemeflow.terms import Number; from schemeflow.cli import main; "
+                f"pad = [Number(-1000 - i) for i in range({seed})]; sys.exit(main(sys.argv[1:]))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--out", str(tmp_path / str(seed))],
+                capture_output=True,
+                env={**os.environ, "PYTHONHASHSEED": str(seed)},
+            )
+            assert proc.returncode == 0
+            traces.add(proc.stderr)
+        assert len(traces) == 1
 
 class TestDiff:
     @pytest.mark.parametrize(

@@ -245,34 +245,38 @@ class TestExtractFacts:
 class TestFreeVars:
     def test_var_is_free_in_itself(self):
         p = read_program("x")
-        assert p.free_vars(p.root) == {"x"}
+        assert p.free_vars(p.root) == ("x",)
 
     def test_sole_lambda_param_removed(self):
         p = read_program("(lambda (x) x)")
-        assert p.free_vars(p.root) == frozenset()
+        assert p.free_vars(p.root) == ()
 
     def test_free_through_nested_lambdas(self):
         p = read_program("(lambda (w) (w z z))")
-        assert p.free_vars(p.root) == {"z"}
+        assert p.free_vars(p.root) == ("z",)
 
     def test_multi_param_lambda_keeps_param_free(self):
         # With two parameters the per-position disequality can always be
         # satisfied by the *other* parameter, so the bound name escapes.
         p = read_program("(lambda (x y) x)")
-        assert p.free_vars(p.root) == {"x~1"}
+        assert p.free_vars(p.root) == ("x~1",)
 
     def test_let_body_not_filtered(self):
         p = read_program("(let ((x 1)) x)")
-        assert p.free_vars(p.root) == {"x~1"}
+        assert p.free_vars(p.root) == ("x~1",)
 
     def test_let_binding_expr_filters_own_name(self):
         # x's own binding expression may not export x, but it exports y.
         p = read_program("(let ((x y)) 1)")
-        assert p.free_vars(p.root) == {"y"}
+        assert p.free_vars(p.root) == ("y",)
 
     def test_set_target_not_a_use(self):
         p = read_program("(set! y 5)")
-        assert p.free_vars(p.root) == frozenset()
+        assert p.free_vars(p.root) == ()
+
+    def test_sorted_tuple_independent_of_hashing(self):
+        p = read_program("(lambda (w) (w z y (x w)))")
+        assert p.free_vars(p.root) == ("x", "y", "z")
 
     def test_syntactic_free_vars_is_memo_safe(self):
         p = read_program("(lambda (w) (w z z))")

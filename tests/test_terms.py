@@ -1,4 +1,5 @@
-"""Core term model: interning, context allocation, widening, rendering."""
+"""Core term model: interning, context allocation, widening, rendering,
+and the per-term memo of rendered text and PrimVal depth."""
 
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ from schemeflow.terms import (
     NUM_TOP,
     Number,
     PrimVal,
+    TERM_TYPES,
+    Term,
     VAddr,
     make_context,
     primval_depth,
@@ -172,3 +175,67 @@ class TestRender:
     def test_python_bool_rejected(self):
         with pytest.raises(TypeError):
             render(True)
+
+
+# ---------------------------------------------------------------------------
+# The memo: rendered text and PrimVal depth are cached on interned terms
+# ---------------------------------------------------------------------------
+
+_labels = st.integers(0, 9).map(lambda i: Label(f"e{i}"))
+_contexts = st.lists(_labels, max_size=3).map(lambda frames: Context(*frames))
+_leaves = st.one_of(
+    st.integers(-3, 9).map(Number),
+    st.just(NUM_TOP),
+    st.builds(Closure, _labels, _contexts),
+    _contexts,
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.builds(PrimVal, st.sampled_from(["+", "-", "*"]), kids, kids),
+    max_leaves=16,
+)
+
+
+def _reference_render(x) -> str:
+    if isinstance(x, Label):
+        return x.args[0]
+    if isinstance(x, Term):
+        return "(" + " ".join([x.tag, *map(_reference_render, x.args)]) + ")"
+    return str(x)
+
+
+def _reference_depth(x) -> int:
+    if isinstance(x, PrimVal):
+        return 1 + max(_reference_depth(x.args[1]), _reference_depth(x.args[2]))
+    return 0
+
+
+class TestMemo:
+    @given(_trees)
+    def test_render_matches_reference_and_is_cached(self, t):
+        expect = _reference_render(t)
+        first = render(t)
+        assert first == expect
+        assert render(t) is first
+        assert render(t) == expect
+
+    @given(_trees)
+    def test_depth_matches_reference(self, t):
+        assert primval_depth(t) == _reference_depth(t)
+
+    @given(_trees, st.integers(min_value=1, max_value=6))
+    def test_widen_returns_shallow_values_unchanged(self, t, limit):
+        if _reference_depth(t) <= limit:
+            assert widen_value(t, limit) is t
+        else:
+            assert primval_depth(widen_value(t, limit)) == limit
+
+    @pytest.mark.parametrize("tag", sorted(TERM_TYPES))
+    def test_fields_read_their_args_and_no_instance_dict(self, tag):
+        # A memo slot named like a field (Label has ``text``) would shadow it.
+        cls = TERM_TYPES[tag]
+        args = tuple(Number(1000 + i) for i in range(len(cls._fields)))
+        term = cls(*args)
+        for i, name in enumerate(cls._fields):
+            assert getattr(term, name) is args[i]
+        assert not hasattr(term, "__dict__")
