@@ -337,8 +337,9 @@ class Machine:
         self.trace = trace
 
     def _t(self, rule: str, *cols) -> None:
-        if self.trace is not None:
-            self.trace(rule + "\t" + " ".join(map(render, cols)))
+        # Callers test ``self.trace`` first, so an untraced run neither
+        # names the rule nor renders its columns.
+        self.trace(rule + "\t" + " ".join(map(render, cols)))
 
     # -- fact intake ---------------------------------------------------
 
@@ -363,7 +364,8 @@ class Machine:
         if rel == "state_e":
             e, ctx, ak = row
             node = self.program.node(e)
-            self._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
+            if self.trace is not None:
+                self._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
             if isinstance(node, VarNode):
                 self.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
             self.emit_all(
@@ -386,19 +388,22 @@ class Machine:
         elif rel == "stored_val":
             av, val = row
             for e, ak in self.var_reads.get(av, ()):
-                self._t("e-ae", e, val)
+                if self.trace is not None:
+                    self._t("e-ae", e, val)
                 self.emit("state_a", (val, ak))
                 self.emit("flow_ea", (e, val))
             x, ctx = av.args
             for to, elam in self.copy_from.get(ctx, ()):
                 if x in self.program.free_vars(elam):
-                    self._t("copy", x, ctx, to)
+                    if self.trace is not None:
+                        self._t("copy", x, ctx, to)
                     self.emit("stored_val", (VAddr(x, to), val))
             self.vstore.setdefault(av, {})[val] = None
         elif rel == "copy_ctx":
             frm, to, e = row
             self.copy_from.setdefault(frm, []).append((to, e))
-            self._t("copy", frm, to, e)
+            if self.trace is not None:
+                self._t("copy", frm, to, e)
             self.emit_all(
                 _copy_emissions(
                     self.program, frm, to, e, lambda av: self.vstore.get(av, ())
@@ -406,7 +411,8 @@ class Machine:
             )
 
     def apply(self, val: Term, ak: Term, frame: Term) -> None:
-        self._t(_apply_rule_name(val, frame), val, ak, frame)
+        if self.trace is not None:
+            self._t(_apply_rule_name(val, frame), val, ak, frame)
         self.emit_all(
             _apply_emissions(self.program, self.cfg, self.arg_lists, val, ak, frame)
         )

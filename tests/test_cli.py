@@ -148,6 +148,22 @@ class TestAnalyzeAndOracle:
         assert {"e-call", "a-call", "a-halt"} <= rules
         assert read_dir(quiet) == read_dir(traced)
 
+    def test_result_files_are_utf8_under_an_ascii_locale(self, tmp_path, capsys):
+        program = tmp_path / "lam.scm"
+        program.write_text("(let ((λ 1)) λ)\n", encoding="utf-8")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        for command in ("analyze", "oracle"):
+            sub, here = tmp_path / f"{command}-sub", tmp_path / command
+            proc = subprocess.run(
+                [sys.executable, "-m", "schemeflow", command, str(program), "--out", str(sub)],
+                capture_output=True,
+                env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert main([command, str(program), "--out", str(here)]) == 0
+            assert read_dir(sub) == read_dir(here)
+            assert "λ~1".encode() in read_dir(here)["stored_val.tsv"]
+
     @pytest.mark.parametrize("name,m", [("17_vanhorn", 0), ("18_loop_widen", 1)])
     def test_trace_order_is_identical_across_processes(self, tmp_path, name, m):
         # Each process has its own string-hash seed and first interns a

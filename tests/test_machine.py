@@ -152,6 +152,14 @@ class TestRunFixpoint:
         rules = {line.split("\t", 1)[0] for line in lines}
         assert {"e-prim", "a-prim1", "a-prim2", "a-halt"} <= rules
 
+    def test_untraced_run_names_no_rule(self, monkeypatch):
+        def unexpected(val, frame):
+            raise AssertionError("rule named without a trace")
+
+        monkeypatch.setattr("schemeflow.machine._apply_rule_name", unexpected)
+        result = run_fixpoint(read_program(corpus("13_prim_nested")), config())
+        assert result.relations["state_a"]
+
     def test_set_returns_sentinel_and_stores_value(self):
         result = run_fixpoint(read_program("(let ((x 1)) (set! x 2))"), config())
         root_ak = KAddr(L(0), EMPTY_CONTEXT)

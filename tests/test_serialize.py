@@ -5,15 +5,18 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from schemeflow.errors import ValidationError
+from schemeflow.frontend import extract_facts
+from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import (
     OUTPUT_RELATIONS,
     RunReport,
     relation_text,
     render_row,
     result_json_text,
-    sorted_rows,
+    sorted_lines,
     write_result_dir,
 )
 from schemeflow.terms import (
@@ -40,6 +43,8 @@ from schemeflow.terms import (
     VAddr,
     render,
 )
+
+from conftest import config
 
 e0, e1, e2, e3, e4, e5 = (Label(f"e{i}") for i in range(6))
 CTX1 = Context(e4)
@@ -90,12 +95,55 @@ class TestRendering:
             assert TERM_TYPES[term.tag] is type(term)
 
 
+def reference_relation_text(rows) -> str:
+    """The relation writer that sorts tuples of rendered columns."""
+    return "".join("\t".join(r) + "\n" for r in sorted(render_row(r) for r in rows))
+
+
+def reference_json_text(relations) -> str:
+    doc = {
+        name: [list(r) for r in sorted(render_row(r) for r in relations.get(name, set()))]
+        for name in OUTPUT_RELATIONS
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# Identifiers hold no whitespace, parentheses or '~' of their own (the
+# reader's rules); these also need JSON escapes, sort below '\t', or are
+# prefixes of one another.
+NAMES = ["x", "x~1", "x~12", "λ~3", "a\\b", "a\\tb", 'q"', "c\x01", "c\x01~2", "\x00~1"]
+names = st.one_of(
+    st.sampled_from(NAMES),
+    st.builds(
+        lambda base, n: base if n is None else f"{base}~{n}",
+        st.text(st.characters(blacklist_characters=" \t\r\n()[];~"), min_size=1, max_size=4),
+        st.none() | st.integers(0, 120),
+    ),
+)
+labels = st.integers(0, 25).map(lambda i: Label(f"e{i}"))
+contexts = st.lists(labels, max_size=2).map(lambda frames: Context(*frames))
+kaddrs = st.builds(KAddr, labels, contexts)
+values = st.recursive(
+    st.one_of(
+        st.integers(-15, 15).map(Number),
+        st.sampled_from([NUM_TOP, Bool("#t"), Bool("#f")]),
+        st.builds(Closure, labels, contexts),
+        kaddrs.map(KontRef),
+    ),
+    lambda inner: st.builds(PrimVal, st.sampled_from(["+", "cons"]), inner, inner),
+    max_leaves=3,
+)
+columns = st.one_of(labels, contexts, kaddrs, values, st.builds(VAddr, names, contexts))
+relation = st.integers(1, 3).flatmap(lambda k: st.sets(st.tuples(*[columns] * k), max_size=8))
+relation_sets = st.dictionaries(st.sampled_from(OUTPUT_RELATIONS), relation, max_size=3)
+
+PREFIX_ROWS = {(VAddr(x, EMPTY_CONTEXT), Label(f"e{i}")) for x in NAMES for i in (1, 12)}
+
+
 class TestSorting:
-    def test_sorted_rows_match_rendered_text_order(self):
+    def test_sorted_lines_follow_the_rendered_tuple_order(self):
         rows = {(Number(i % 5), KAddr(Label(f"e{i}"), EMPTY_CONTEXT)) for i in range(20)}
-        by_tuple = sorted_rows(rows)
-        by_joined = sorted("\t".join(render_row(r)) for r in rows)
-        assert ["\t".join(r) for r in by_tuple] == by_joined
+        assert sorted_lines(rows) == ["\t".join(r) for r in sorted(render_row(r) for r in rows)]
 
     def test_relation_text_is_sorted_and_newline_terminated(self):
         rows = {(Number(2), AK), (Number(1), AK)}
@@ -103,6 +151,25 @@ class TestSorting:
         assert text.startswith("(Number 1)\t")
         assert text.endswith("\n")
         assert len(text.splitlines()) == 2
+        assert relation_text(set()) == ""
+
+    @given(relation_sets)
+    @example({name: PREFIX_ROWS if name == "flow_ae" else set() for name in OUTPUT_RELATIONS})
+    @example({name: {row[::-1] for row in PREFIX_ROWS} for name in OUTPUT_RELATIONS})
+    def test_writers_equal_the_tuple_sort_and_json_dumps(self, relations):
+        for rows in relations.values():
+            assert relation_text(rows) == reference_relation_text(rows)
+        assert result_json_text(relations) == reference_json_text(relations)
+
+    def test_corpus_outputs_equal_the_reference_writers(self, corpus_programs):
+        for program in corpus_programs.values():
+            for rows in extract_facts(program).facts.values():
+                assert relation_text(rows) == reference_relation_text(rows)
+            for m in (0, 1, 2):
+                relations = run_fixpoint(program, config(m=m)).relations
+                for name in OUTPUT_RELATIONS:
+                    assert relation_text(relations[name]) == reference_relation_text(relations[name])
+                assert result_json_text(relations) == reference_json_text(relations)
 
 
 class TestResultDirs:
