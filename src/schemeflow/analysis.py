@@ -12,6 +12,7 @@ the derived relations.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -62,6 +63,8 @@ class AnalysisConfig:
             raise ValidationError("m must be >= 0")
         if self.widen_depth is not None and self.widen_depth < 1:
             raise ValidationError("widen_depth must be >= 1 or None (unlimited)")
+        if self.fact_ceiling is not None and self.fact_ceiling < 0:
+            raise ValidationError(f"fact ceiling must be >= 0, got {self.fact_ceiling}")
         if self.primval_truthiness not in TRUTHINESS_MODES:
             raise ValidationError(
                 f"primval_truthiness must be one of {TRUTHINESS_MODES}, got {self.primval_truthiness!r}"
@@ -497,7 +500,10 @@ def build_rules(cfg: AnalysisConfig) -> list[Rule]:
     )
 
 
+@functools.lru_cache(maxsize=32)
 def build_analysis_ruleset(cfg: AnalysisConfig) -> RuleSet:
+    """The rule set of ``cfg``, built once per configuration: the rule set
+    keeps its compiled joins, so later runs only bind them to their store."""
     return build_ruleset(ALL_RELATIONS, build_rules(cfg))
 
 

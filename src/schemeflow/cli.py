@@ -128,8 +128,11 @@ def _run_and_emit(args: argparse.Namespace, mode: str) -> int:
     else:
         trace = None
         if getattr(args, "trace", False):
-            trace = lambda line: print(line, file=sys.stderr)
+            # UTF-8 whatever the locale, as the result files are.
+            err = sys.stderr.buffer
+            trace = lambda line: err.write(line.encode("utf-8") + b"\n")
         result = run_fixpoint(program, cfg, trace=trace)
+        sys.stderr.flush()
     duration_ms = (time.perf_counter() - start) * 1000.0
     try:
         write_result_dir(result.relations, args.out, format=args.format)

@@ -15,18 +15,25 @@ dependencies come first.  Each stratum runs either semi-naive (each
 derivation joins at least one newly-derived tuple) or naive (full re-join
 every round, for differential testing).
 
-Each rule's join is planned once per delta position before its stratum
-runs.  The delta atom comes first; after it, the atom with the most columns
-ground by then, then the one with the fewest new variables, then the
-earliest declared.  The columns ground on arrival are a step's index key.
-Each plan is then compiled into one Python function: nested ``for`` loops
-over the delta, index lookups and relations, unpacking of struct patterns,
-``continue`` on a mismatch, and appends of the built heads.  Both modes run
-these functions; the source text holds only generated names, and the
-relations, indexes, constants, constructors and builders it uses are bound
-per run, so one text serves every plan of its shape.  Tuple stores keep,
-per relation, one hash index per key-column set, built when a plan first
-needs it and maintained incrementally.
+Each rule's join is planned once per delta position.  The delta atom comes
+first; after it, the atom with the most columns ground by then, then the one
+with the fewest new variables, then the earliest declared.  The columns
+ground on arrival are a step's index key.  Each plan is then compiled into
+one Python function: nested ``for`` loops over the delta, index lookups and
+relations, unpacking of struct patterns, ``continue`` on a mismatch, and
+calls that append each built head row to its relation's buffer.  The source
+text holds only generated names, so one text serves every plan of its
+shape.  A rule set keeps its compiled plans, with their constants,
+constructors and builders, per mode from its first run on; a run binds only
+its own relations, indexes and buffers to them.
+
+A round runs its joins, then inserts each relation's buffer with whole-set
+operations: the new rows are the buffered rows minus the relation, the
+relation takes their union, and they are that relation's delta in the next
+round.  Tuple stores keep, per relation, one hash index per key-column set,
+built when a plan is first bound and extended by each insert's new rows; a
+relation that no plan looks up by key has none, and its inserts are set
+operations alone.
 """
 
 from __future__ import annotations
@@ -186,6 +193,8 @@ class RuleSet:
     rules: list[Rule]
     strata: list[list[str]] = field(default_factory=list)
     stratum_of: dict[str, int] = field(default_factory=dict)
+    # naive -> the compiled strata (see ``_program``); filled on first run
+    compiled: dict[bool, list[_Stratum]] = field(default_factory=dict, repr=False, compare=False)
 
 
 def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
@@ -278,17 +287,15 @@ class TupleStore:
     def ensure(self, name: str) -> None:
         self.relations.setdefault(name, set())
 
-    def add(self, name: str, row: tuple) -> bool:
+    def bulk_add(self, name: str, rows: Iterable[tuple]) -> set[tuple]:
+        """Insert ``rows`` into ``name``; return those it did not hold yet."""
         rel = self.relations[name]
-        if row in rel:
-            return False
-        rel.add(row)
+        new = set(rows) - rel
+        rel |= new
         for key, table in self._indexes.get(name, {}).values():
-            table.setdefault(key(row), []).append(row)
-        return True
-
-    def bulk_add(self, name: str, rows: Iterable[tuple]) -> int:
-        return sum(self.add(name, row) for row in rows)
+            for row in new:
+                table.setdefault(key(row), []).append(row)
+        return new
 
     def tuples(self, name: str) -> set[tuple]:
         return self.relations[name]
@@ -379,21 +386,32 @@ class _Source:
 
     The text holds only identifiers made here: ``v*`` rule variables, ``t*``
     values still to check, and one parameter of ``make`` per entry of
-    ``values`` (relations, indexes, constants, constructors, builders).  So
-    plans of the same shape share one text, and one compiled function.
+    ``static`` (constants, constructors, builders) and of ``bound``
+    (relations, indexes and head appenders, which each run binds from its
+    own store).  So plans of the same shape share one text, and one
+    compiled function.
     """
 
     def __init__(self) -> None:
-        self.values: dict[str, object] = {}
+        self.static: dict[str, object] = {}
+        self.bound: dict[str, _Binding] = {}
         self.var: dict[str, str] = {}  # rule variable -> identifier
         self.lines: list[str] = []
         self.depth = 2  # inside make and join; each loop adds one
         self.temps = 0
         self.pending: list[tuple[Pattern, str]] = []  # (pattern, temporary) to check
 
+    def _next(self, prefix: str) -> str:
+        return f"{prefix}{len(self.static) + len(self.bound)}"
+
     def name(self, prefix: str, value: object) -> str:
-        name = f"{prefix}{len(self.values)}"
-        self.values[name] = value
+        name = self._next(prefix)
+        self.static[name] = value
+        return name
+
+    def bound_name(self, kind: str, rel: str, cols: tuple[int, ...] = ()) -> str:
+        name = self._next(kind)
+        self.bound[name] = _Binding(kind, rel, cols)
         return name
 
     def line(self, text: str) -> None:
@@ -453,25 +471,58 @@ class _Source:
             raise RuleError(f"pattern {p!r} not allowed in body")
 
 
-def _join_function(r: Rule, steps: list[_Step], store: TupleStore, delta: bool) -> Callable:
-    """Compile ``steps`` into ``join(delta, out)``, which appends to ``out``
-    each (relation, row) that ``r`` derives; ``delta`` holds the first
-    step's rows when ``delta`` is set."""
+class _Binding(NamedTuple):
+    """What a run binds to one parameter of ``make``: relation ``rel``'s
+    rows (``R``), its index on ``cols`` (``I``), or the ``append`` of its
+    head buffer (``O``)."""
+
+    kind: str
+    rel: str
+    cols: tuple[int, ...]
+
+
+class _Join(NamedTuple):
+    """One compiled plan: ``make(*static, *bound values)`` returns
+    ``join(delta)``, which appends each row the rule derives to the buffer
+    of its head relation.  ``delta_rel`` names the relation whose new rows
+    ``delta`` holds, or is None for a join over whole relations."""
+
+    delta_rel: str | None
+    make: Callable
+    static: tuple
+    bindings: tuple[_Binding, ...]
+
+    def bind(self, store: TupleStore, buffers: dict[str, list[tuple]]) -> Callable:
+        values = []
+        for kind, rel, cols in self.bindings:
+            if kind == "R":
+                values.append(store.relations[rel])
+            elif kind == "I":
+                values.append(store.index(rel, cols))
+            else:
+                values.append(buffers[rel].append)
+        return self.make(*self.static, *values)
+
+
+def _compile(r: Rule, first: int | None) -> _Join:
+    """Plan ``r`` with the delta atom ``first`` (None: no delta) and
+    compile the plan."""
+    steps = _plan(r, first)
     src = _Source()
     for k, (rel, key_cols, patterns) in enumerate(steps):
-        if k == 0 and delta:
+        if k == 0 and first is not None:
             rows = "delta"
         elif not key_cols:
-            rows = src.name("R", store.tuples(rel))
+            rows = src.bound_name("R", rel)
         elif len(key_cols) == len(patterns):
             # Every column is fixed: a membership test.
             row = _tuple([src.build(p) for p in patterns])
-            src.line(f"if {row} not in {src.name('R', store.tuples(rel))}: {src.skip()}")
+            src.line(f"if {row} not in {src.bound_name('R', rel)}: {src.skip()}")
             continue
         else:
             cols = [src.build(patterns[c]) for c in key_cols]
             key = cols[0] if len(cols) == 1 else _tuple(cols)
-            rows = f"{src.name('I', store.index(rel, key_cols))}.get({key}, ())"
+            rows = f"{src.bound_name('I', rel, key_cols)}.get({key}, ())"
         src.line(f"for {src.targets(patterns, key_cols)} in {rows}:")
         src.depth += 1
         src.unpacked()
@@ -479,15 +530,17 @@ def _join_function(r: Rule, steps: list[_Step], store: TupleStore, delta: bool) 
         src.line(f"if not {src.build(g)}: {src.skip()}")
     for h in r.heads:
         row = _tuple([src.build(p) for p in h.patterns])
-        src.line(f"out.append(({src.name('N', h.rel)}, {row}))")
+        src.line(f"{src.bound_name('O', h.rel)}({row})")
     text = "\n".join(
-        [f"def make({', '.join(src.values)}):", "    def join(delta, out):", *src.lines, "    return join"]
+        [f"def make({', '.join([*src.static, *src.bound])}):", "    def join(delta):", *src.lines, "    return join"]
     )
-    return _make_function(text)(*src.values.values())
+    delta_rel = None if first is None else r.body[first].rel
+    return _Join(delta_rel, _make_function(text), tuple(src.static.values()), tuple(src.bound.values()))
 
 
-# The analysis rule set compiles to 76 distinct texts over both truthiness
-# modes, semi-naive and naive; the memo holds them all with room to spare.
+# The analysis rule sets compile to 76 distinct texts over m=0..2, both
+# truthiness modes, semi-naive and naive; the memo holds them all with room
+# to spare (tests/test_engine.py checks that it never evicts).
 @functools.lru_cache(maxsize=256)
 def _make_function(text: str) -> Callable:
     """The ``make`` that ``text`` defines.  It holds no values of any run:
@@ -500,6 +553,44 @@ def _make_function(text: str) -> Callable:
 # ---------------------------------------------------------------------------
 # Saturation
 # ---------------------------------------------------------------------------
+
+
+class _Stratum(NamedTuple):
+    """The compiled joins of one stratum's rules.  ``once`` (semi-naive
+    only) holds the rules with no body atom in the stratum, which cannot
+    re-fire once the lower strata are fixed; ``joins`` holds, semi-naive,
+    one plan per body atom in the stratum, and naive one plan per rule."""
+
+    rels: tuple[str, ...]
+    heads: tuple[str, ...]  # the relations its rules derive
+    once: tuple[_Join, ...]
+    joins: tuple[_Join, ...]
+
+
+def _program(rs: RuleSet, naive: bool) -> list[_Stratum]:
+    """The compiled strata of ``rs`` for one mode, built on first use and
+    kept on ``rs``: they hold plans and static values, never a store."""
+    program = rs.compiled.get(naive)
+    if program is not None:
+        return program
+    program = []
+    for stratum_index, scc in enumerate(rs.strata):
+        rules = [r for r in rs.rules if rs.stratum_of[r.heads[0].rel] == stratum_index]
+        if not rules:
+            continue
+        once, joins = [], []
+        for r in rules:
+            firsts = [i for i, a in enumerate(r.body) if a.rel in scc]
+            if naive:
+                joins.append(_compile(r, None))
+            elif firsts:
+                joins.extend(_compile(r, i) for i in firsts)
+            else:
+                once.append(_compile(r, None))
+        heads = tuple(dict.fromkeys(h.rel for r in rules for h in r.heads))
+        program.append(_Stratum(tuple(scc), heads, tuple(once), tuple(joins)))
+    rs.compiled[naive] = program
+    return program
 
 
 @dataclass
@@ -527,65 +618,40 @@ def saturate(
         if fact_ceiling is not None and total > fact_ceiling:
             raise FactCeilingExceeded(total, fact_ceiling)
 
+    def insert(buffers: dict[str, list[tuple]]) -> dict[str, set[tuple]]:
+        """Move every buffered row into the store; return the new ones."""
+        new = {}
+        for rel, rows in buffers.items():
+            if rows:
+                added = store.bulk_add(rel, rows)
+                rows.clear()
+                if added:
+                    new[rel] = added
+        check_ceiling()
+        return new
+
     check_ceiling()
-    for stratum_index, scc in enumerate(ruleset.strata):
-        stratum_rels = set(scc)
-        stratum_rules = [
-            r for r in ruleset.rules if ruleset.stratum_of[r.heads[0].rel] == stratum_index
-        ]
-        if not stratum_rules:
-            continue
+    for stratum in _program(ruleset, naive):
+        buffers: dict[str, list[tuple]] = {rel: [] for rel in stratum.heads}
+        for join in stratum.once:
+            join.bind(store, buffers)(None)
+        insert(buffers)
+        joins = [(j.delta_rel, j.bind(store, buffers)) for j in stratum.joins]
         if naive:
-            _run_naive(store, stratum_rules, stats, check_ceiling)
-        else:
-            _run_semi_naive(store, stratum_rules, stratum_rels, stats, check_ceiling)
+            new = True
+            while new:
+                stats.rounds += 1
+                for _, join in joins:
+                    join(None)
+                new = insert(buffers)
+            continue
+        # A round's joins only read the store, and its rows are inserted
+        # after it, so the first delta can be the relations themselves.
+        delta = {rel: store.relations[rel] for rel in stratum.rels if store.relations[rel]}
+        while delta:
+            stats.rounds += 1
+            for rel, join in joins:
+                if rel in delta:
+                    join(delta[rel])
+            delta = insert(buffers)
     return store, stats
-
-
-def _run_naive(store, rules, stats, check_ceiling) -> None:
-    joins = [_join_function(r, _plan(r, None), store, False) for r in rules]
-    while True:
-        stats.rounds += 1
-        emitted: list[tuple[str, tuple]] = []
-        for join in joins:
-            join(None, emitted)
-        changed = False
-        for rel, row in emitted:
-            if store.add(rel, row):
-                changed = True
-        check_ceiling()
-        if not changed:
-            return
-
-
-def _run_semi_naive(store, rules, stratum_rels, stats, check_ceiling) -> None:
-    # Rules with no body atom in this stratum cannot re-fire once the lower
-    # strata are fixed: run them a single time up front.  The others get one
-    # plan per body atom of this stratum, run when that atom has a delta.
-    joins: list[tuple[str, Callable]] = []
-    emitted: list[tuple[str, tuple]] = []
-    for r in rules:
-        firsts = [i for i, a in enumerate(r.body) if a.rel in stratum_rels]
-        for i in firsts:
-            joins.append((r.body[i].rel, _join_function(r, _plan(r, i), store, True)))
-        if not firsts:
-            _join_function(r, _plan(r, None), store, False)(None, emitted)
-    for rel, row in emitted:
-        store.add(rel, row)
-    check_ceiling()
-
-    delta: dict[str, set[tuple]] = {
-        rel: set(store.tuples(rel)) for rel in stratum_rels if store.tuples(rel)
-    }
-    while delta:
-        stats.rounds += 1
-        emitted = []
-        for rel, join in joins:
-            if rel in delta:
-                join(delta[rel], emitted)
-        new_delta: dict[str, set[tuple]] = {}
-        for rel, row in emitted:
-            if store.add(rel, row):
-                new_delta.setdefault(rel, set()).add(row)
-        check_ceiling()
-        delta = new_delta

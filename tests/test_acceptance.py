@@ -206,7 +206,7 @@ def test_criterion_4_engine_correctness():
                 ordered = sorted(rows)
                 random.Random(order_seed).shuffle(ordered)
                 for row in ordered:
-                    shuffled.add(name, row)
+                    shuffled.bulk_add(name, [row])
             store, _ = saturate(rs, shuffled)
             return b"".join(
                 relation_text(store.relations[name]).encode()

@@ -164,6 +164,21 @@ class TestAnalyzeAndOracle:
             assert read_dir(sub) == read_dir(here)
             assert "λ~1".encode() in read_dir(here)["stored_val.tsv"]
 
+    def test_trace_is_utf8_under_an_ascii_locale(self, tmp_path):
+        program = tmp_path / "lam.scm"
+        program.write_text("(let ((λ 1)) λ)\n", encoding="utf-8")
+        ascii_env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        traces = []
+        for env in (ascii_env, {**os.environ, "LC_ALL": "C.UTF-8"}):
+            argv = ["oracle", str(program), "--out", str(tmp_path / str(len(traces))), "--trace"]
+            proc = subprocess.run(
+                [sys.executable, "-m", "schemeflow", *argv], capture_output=True, env=env
+            )
+            assert proc.returncode == 0, proc.stderr
+            traces.append(proc.stderr)
+        assert traces[0] == traces[1]
+        assert "(VAddress λ~1 (Context))".encode() in traces[0]
+
     @pytest.mark.parametrize("name,m", [("17_vanhorn", 0), ("18_loop_widen", 1)])
     def test_trace_order_is_identical_across_processes(self, tmp_path, name, m):
         # Each process has its own string-hash seed and first interns a
@@ -263,6 +278,15 @@ class TestFailureModes:
         monkeypatch.setenv("SCHEMEFLOW_FACT_CEILING", "lots")
         assert main(["analyze", str(program_file), "--out", str(tmp_path / "x")]) == 1
         assert "SCHEMEFLOW_FACT_CEILING" in capsys.readouterr().err
+
+    def test_negative_ceiling_env_rejected(self, tmp_path, program_file, monkeypatch, capsys):
+        monkeypatch.setenv("SCHEMEFLOW_FACT_CEILING", "-5")
+        for command in ("analyze", "oracle"):
+            assert main([command, str(program_file), "--out", str(tmp_path / "x")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: fact ceiling must be >= 0, got -5\n"
+        assert not (tmp_path / "x").exists()
 
     def test_directory_as_program_exits_1(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path), "--out", str(tmp_path / "x")]) == 1

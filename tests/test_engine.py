@@ -183,7 +183,7 @@ class TestSaturate:
             random.Random(seed).shuffle(shuffled)
             store = TupleStore(ANCESTOR_RELATIONS)
             for pair in shuffled:
-                store.add("parent", pair)
+                store.bulk_add("parent", [pair])
             result, _ = saturate(rs, store)
             texts.add("\n".join("\t".join(render_row(r)) for r in sorted(result.tuples("ancestor"))))
         assert len(texts) == 1
@@ -225,7 +225,7 @@ class TestTermPatterns:
             )
         ]
         store = TupleStore(relations)
-        store.add("src", (1,))
+        store.bulk_add("src", [(1,)])
         out, _ = saturate(build_ruleset(relations, rules), store)
         assert out.tuples("left") == out.tuples("right") == {(1,)}
 
@@ -264,10 +264,19 @@ class TestTermPatterns:
         assert out.tuples("small") == {(0,), (1,)}
 
 
+@pytest.fixture
+def fresh_rulesets():
+    """Analysis rule sets are built anew while the fixture is active and
+    forgotten after it, so no other test runs rules built here."""
+    build_analysis_ruleset.cache_clear()
+    yield
+    build_analysis_ruleset.cache_clear()
+
+
 class TestBodyOrder:
     @pytest.mark.parametrize("m", [0, 1])
     def test_reversed_rule_bodies_derive_the_same_relations(
-        self, m, monkeypatch, corpus_programs
+        self, m, monkeypatch, corpus_programs, fresh_rulesets
     ):
         build_rules = analysis.build_rules
         monkeypatch.setattr(
@@ -298,7 +307,7 @@ def saturate_both_ways(relations, rules, facts):
 
 # Identifiers the plan compiler writes itself; every other name in a plan's
 # source must be a generated ``v0``/``t0`` variable or ``K0``-style value.
-PLAN_WORDS = {"make", "join", "delta", "out", "append", "get", "args", "type", "len", "_"}
+PLAN_WORDS = {"make", "join", "delta", "get", "args", "type", "len", "_"}
 
 
 def plan_names(text: str) -> set[str]:
@@ -308,7 +317,7 @@ def plan_names(text: str) -> set[str]:
 
 
 @pytest.fixture
-def plan_texts(monkeypatch):
+def plan_texts(monkeypatch, fresh_rulesets):
     """Every join-plan source text compiled while the fixture is active."""
     texts: list[str] = []
     make_function = engine._make_function
@@ -457,7 +466,7 @@ class TestCompiledPatterns:
         assert plan_texts
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:
-                assert re.fullmatch(r"[vtKCFRIN][0-9]+", name), (name, text)
+                assert re.fullmatch(r"[vtKCFRIO][0-9]+", name), (name, text)
 
     def test_analysis_plans_hold_only_generated_names(self, plan_texts, corpus_programs):
         for naive in (False, True):
@@ -465,7 +474,7 @@ class TestCompiledPatterns:
         assert len(plan_texts) > 50
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:
-                assert re.fullmatch(r"[vtKCFRIN][0-9]+", name), (name, text)
+                assert re.fullmatch(r"[vtKCFRIO][0-9]+", name), (name, text)
 
 
 class TestNoPerRunState:
@@ -492,3 +501,119 @@ class TestNoPerRunState:
             assert out_ref() is None
         finally:
             gc.enable()
+
+
+class TestCompileOnce:
+    def test_analysis_rule_set_is_built_once_per_config(self):
+        assert build_analysis_ruleset(config(m=1)) is build_analysis_ruleset(config(m=1))
+        assert build_analysis_ruleset(config(m=1)) is not build_analysis_ruleset(config(m=2))
+
+    def test_a_second_analyze_generates_no_join_source(self, plan_texts, corpus_programs):
+        program, cfg = corpus_programs["17_vanhorn"], config(m=1)
+        for naive in (False, True):
+            first = analysis.analyze(program, cfg, naive=naive)
+            assert plan_texts
+            plan_texts.clear()
+            assert analysis.analyze(program, cfg, naive=naive).relations == first.relations
+            assert plan_texts == []
+
+    def test_join_text_memo_never_evicts(self, corpus_programs, fresh_rulesets):
+        engine._make_function.cache_clear()
+        for program in corpus_programs.values():
+            for m in (0, 1, 2):
+                for mode in ("both-branches", "appendix-exact"):
+                    for naive in (False, True):
+                        analysis.analyze(program, config(m=m, primval_truthiness=mode), naive=naive)
+        info = engine._make_function.cache_info()
+        assert 0 < info.currsize < info.maxsize
+
+    def test_cached_rule_set_keeps_no_store_alive(self, monkeypatch, corpus_programs):
+        refs = []
+        bind = engine._Join.bind
+
+        def recording(ruleset, edb, **kwargs):
+            store, stats = saturate(ruleset, edb, **kwargs)
+            refs.append(weakref.ref(store))
+            refs.extend(weakref.ref(rows) for rows in store.relations.values())
+            return store, stats
+
+        def recording_bind(join, store, buffers):
+            bound = bind(join, store, buffers)
+            refs.append(weakref.ref(bound))
+            return bound
+
+        monkeypatch.setattr(analysis, "saturate", recording)
+        monkeypatch.setattr(engine._Join, "bind", recording_bind)
+        cfg = config(m=1)
+        # Without the cycle collector, only reference counts free the store:
+        # the rule set keeps its compiled joins, never one bound to a run.
+        gc.disable()
+        try:
+            result = analysis.analyze(corpus_programs["17_vanhorn"], cfg)
+            assert build_analysis_ruleset(cfg).compiled
+            del result
+            assert len(refs) > 1 and [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
+
+class TestRounds:
+    """Each round inserts its rows with one set difference per relation."""
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_rows_emitted_twice_or_already_held_are_not_new(self, naive):
+        fired = []
+
+        def seen(x, y):
+            fired.append((x, y))
+            return True
+
+        relations = {"edge": 2, "reach": 1}
+        rules = [
+            rule(
+                "step",
+                [atom("reach", v.y)],
+                [atom("reach", v.x), atom("edge", v.x, v.y)],
+                [A(seen, v.x, v.y)],
+            )
+        ]
+        # Round 1 derives b and c, round 2 derives d twice, round 3 derives
+        # z, which the EDB holds: three rounds, each edge joined once.
+        edges = {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "z")}
+        store = TupleStore(relations)
+        store.bulk_add("edge", edges)
+        store.bulk_add("reach", [("a",), ("z",)])
+        out, stats = saturate(build_ruleset(relations, rules), store, naive=naive)
+        assert out.tuples("reach") == {("a",), ("b",), ("c",), ("d",), ("z",)}
+        assert stats.rounds == 3
+        if not naive:
+            assert sorted(fired) == sorted(edges)
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_index_sees_rows_of_later_rounds(self, naive):
+        # path(y, z) is looked up through an index on path's first column,
+        # built when the stratum starts: rows of every later round must
+        # reach it, or the doubling closure misses paths.
+        relations = {"path": 2}
+        rules = [
+            rule(
+                "join",
+                [atom("path", v.x, v.z)],
+                [atom("path", v.x, v.y), atom("path", v.y, v.z)],
+            )
+        ]
+        (r,) = rules
+        assert [s.key_cols for s in engine._plan(r, 0)] == [(), (0,)]
+        store = TupleStore(relations)
+        store.bulk_add("path", [(i, i + 1) for i in range(8)])
+        out, _ = saturate(build_ruleset(relations, rules), store, naive=naive)
+        assert out.tuples("path") == {(i, j) for i in range(9) for j in range(i + 1, 9)}
+
+    def test_bulk_add_returns_only_new_rows_and_maintains_indexes(self):
+        store = TupleStore({"pair": 2})
+        store.bulk_add("pair", [(1, "a")])
+        index = store.index("pair", (0,))
+        assert store.bulk_add("pair", [(1, "a"), (1, "b"), (1, "b"), (2, "c")]) == {(1, "b"), (2, "c")}
+        assert store.bulk_add("pair", [(2, "c")]) == set()
+        assert sorted(index[1]) == [(1, "a"), (1, "b")]
+        assert index[2] == [(2, "c")]
