@@ -85,17 +85,13 @@ IDB_SCHEMA: dict[str, int] = {
     "flow_aa": 2,
 }
 
-ALL_RELATIONS: dict[str, int] = {
-    **{name: len(cols) for name, cols in EDB_SCHEMA.items()},
-    **IDB_SCHEMA,
-}
+ALL_RELATIONS: dict[str, int] = {**EDB_SCHEMA, **IDB_SCHEMA}
 
 
 @dataclass
 class AnalysisResult:
     """Derived relations plus run metadata; shared by both analyzer paths."""
 
-    config: AnalysisConfig
     relations: dict[str, set[tuple]]
     engine: str  # "seminaive" | "naive" | "worklist"
     rounds: int = 0
@@ -500,10 +496,16 @@ def build_rules(cfg: AnalysisConfig) -> list[Rule]:
     )
 
 
-@functools.lru_cache(maxsize=32)
 def build_analysis_ruleset(cfg: AnalysisConfig) -> RuleSet:
-    """The rule set of ``cfg``, built once per configuration: the rule set
-    keeps its compiled joins, so later runs only bind them to their store."""
+    """The rule set of ``cfg``, built once per setting of the fields its
+    rules read (not ``fact_ceiling``): the rule set keeps its compiled
+    joins, so later runs only bind them to their store."""
+    return _ruleset(cfg.m, cfg.widen_depth, cfg.primval_truthiness)
+
+
+@functools.lru_cache(maxsize=32)
+def _ruleset(m: int, widen_depth: int | None, primval_truthiness: str) -> RuleSet:
+    cfg = AnalysisConfig(m=m, widen_depth=widen_depth, primval_truthiness=primval_truthiness)
     return build_ruleset(ALL_RELATIONS, build_rules(cfg))
 
 
@@ -531,7 +533,6 @@ def analyze(
     final, stats = saturate(ruleset, store, naive=naive, fact_ceiling=cfg.fact_ceiling)
     relations = {name: set(final.tuples(name)) for name in IDB_SCHEMA}
     return AnalysisResult(
-        config=cfg,
         relations=relations,
         engine="naive" if naive else "seminaive",
         rounds=stats.rounds,

@@ -20,19 +20,14 @@ import sys
 import time
 from pathlib import Path
 
-from schemeflow.analysis import AnalysisConfig, AnalysisResult, analyze
+from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, AnalysisResult, analyze
 from schemeflow.errors import FactCeilingExceeded, ParseError, ValidationError
 from schemeflow.frontend import LabeledProgram, extract_facts, read_program
 from schemeflow.machine import run_fixpoint
-from schemeflow.serialize import OUTPUT_RELATIONS, RunReport, render_row, write_result_dir
+from schemeflow.serialize import DIFF_RELATIONS, OUTPUT_RELATIONS, RunReport, render_row, write_result_dir
 from schemeflow.termgen import GenSpec, gen_mcfa_worst, gen_vanhorn
 
 DEFAULT_FACT_CEILING = 5_000_000
-
-# The relations diff compares by default; flow edges are derived
-# bookkeeping and opt-in via --diff-flows.
-DIFF_RELATIONS = ("state_e", "state_a", "stored_val", "stored_kont")
-FLOW_RELATIONS = ("flow_aa", "flow_ae", "flow_ea", "flow_ee")
 
 
 def _fact_ceiling() -> int:
@@ -72,7 +67,7 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--truthiness",
-        choices=("both-branches", "appendix-exact"),
+        choices=TRUTHINESS_MODES,
         help="how opaque guard values (PrimVal/NumTop) branch (default both-branches)",
     )
 
@@ -164,7 +159,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     cfg = _config(args)
     left = analyze(program, cfg)
     right = run_fixpoint(program, cfg)
-    relations = DIFF_RELATIONS + (FLOW_RELATIONS if args.diff_flows else ())
+    relations = OUTPUT_RELATIONS if args.diff_flows else DIFF_RELATIONS
     for name in relations:
         a, b = left.relations[name], right.relations[name]
         if a == b:

@@ -6,6 +6,10 @@ unique label per sub-expression and globally unique variable names), and
 ``extract_facts`` (program -> :class:`EDB`, the flat input relations the
 analysis consumes).
 
+Every binder is renamed to ``name~N``; ``~`` is rejected in identifiers, so
+a renamed variable's source name is ``name.split("~")[0]`` and a free
+variable keeps its own name.  A node is read as ``program.nodes[label]``.
+
 Variable scoping note: ``syntactic_free_vars`` intentionally reproduces the
 scoping the analysis' own deductive freevar rules compute, quirks included —
 a let's body is *not* filtered by its binding names, a multi-parameter
@@ -126,13 +130,12 @@ class BoolNode(Node):
 @dataclass(frozen=True)
 class VarNode(Node):
     name: str
-    original: str
 
 
 @dataclass(frozen=True)
 class LambdaNode(Node):
     vars_label: Label
-    params: tuple[tuple[int, str, str], ...]  # (pos, renamed, original)
+    params: tuple[str, ...]  # renamed, in position order
     body: Label
 
 
@@ -146,7 +149,6 @@ class IfNode(Node):
 @dataclass(frozen=True)
 class SetNode(Node):
     target: str
-    target_original: str
     expr: Label
 
 
@@ -158,7 +160,7 @@ class CallccNode(Node):
 @dataclass(frozen=True)
 class LetNode(Node):
     binds_label: Label
-    bindings: tuple[tuple[str, str, Label], ...]  # (renamed, original, expr)
+    bindings: tuple[tuple[str, Label], ...]  # (renamed, expr)
     body: Label
 
 
@@ -186,7 +188,10 @@ class QuoteNode(Node):
 class DatumNode(Node):
     """An inert quoted datum; carries no facts and takes no transitions."""
 
-    text: str
+
+@dataclass(frozen=True)
+class PrimOpNode(Node):
+    """The operator position of a primitive call."""
 
 
 @dataclass(frozen=True)
@@ -200,22 +205,12 @@ class ListMarkerNode(Node):
 class LabeledProgram:
     root: Label
     nodes: dict[Label, Node]
-    original_names: dict[str, str]
     _free_vars: dict[Label, tuple[str, ...]] = field(default_factory=dict, repr=False)
-
-    def node(self, label: Label) -> Node:
-        return self.nodes[label]
-
-    def free_vars(self, e: Label) -> tuple[str, ...]:
-        return syntactic_free_vars(self, e)
 
 
 # ---------------------------------------------------------------------------
 # Labeling, validation, alpha-renaming
 # ---------------------------------------------------------------------------
-
-_SPECIAL_HEADS = frozenset({"lambda", "if", "set!", "call/cc", "let", "quote"})
-
 
 def _is_identifier(tok: str) -> bool:
     if not tok or _INT_RE.match(tok) or tok in ("#t", "#f"):
@@ -227,7 +222,6 @@ class _Builder:
     def __init__(self, allow_quote: bool) -> None:
         self.allow_quote = allow_quote
         self.nodes: dict[Label, Node] = {}
-        self.original_names: dict[str, str] = {}
         self._label_counter = 0
         self._rename_counter = 0
 
@@ -238,9 +232,7 @@ class _Builder:
 
     def rename(self, original: str) -> str:
         self._rename_counter += 1
-        name = f"{original}~{self._rename_counter}"
-        self.original_names[name] = original
-        return name
+        return f"{original}~{self._rename_counter}"
 
     def _ident(self, sx: SExpr, role: str) -> str:
         if not sx.is_atom or not _is_identifier(sx.atom):
@@ -259,18 +251,11 @@ class _Builder:
         items = sx.items
         if not items:
             raise ValidationError("empty application ()", sx.line, sx.col)
-        head = items[0]
-        if head.is_atom and head.atom in _SPECIAL_HEADS:
-            special = {
-                "lambda": self._build_lambda,
-                "if": self._build_if,
-                "set!": self._build_setb,
-                "call/cc": self._build_callcc,
-                "let": self._build_let,
-                "quote": self._build_quote,
-            }
-            return special[head.atom](sx, env)
-        if head.is_atom and head.atom in PRIM_OPS:
+        head = items[0].atom  # None for a list
+        special = self._SPECIAL_FORMS.get(head)
+        if special is not None:
+            return special(self, sx, env)
+        if head in PRIM_OPS:
             return self._build_prim(sx, env)
         return self._build_call(sx, env)
 
@@ -283,7 +268,7 @@ class _Builder:
             self.nodes[label] = BoolNode(label, tok)
         elif _is_identifier(tok):
             self._ident(sx, "variable")
-            self.nodes[label] = VarNode(label, env.get(tok, tok), tok)
+            self.nodes[label] = VarNode(label, env.get(tok, tok))
         else:
             raise ValidationError(f"unsupported literal {tok!r}", sx.line, sx.col)
         return label
@@ -302,10 +287,10 @@ class _Builder:
         self._check_not_prim(originals, items[1])
         params = []
         inner = dict(env)
-        for pos, orig in enumerate(originals):
+        for orig in originals:
             renamed = self.rename(orig)
             inner[orig] = renamed
-            params.append((pos, renamed, orig))
+            params.append(renamed)
         body = self.build(items[2], inner)
         self.nodes[label] = LambdaNode(label, vars_label, tuple(params), body)
         return label
@@ -330,7 +315,7 @@ class _Builder:
         label = self.fresh_label()
         self.nodes[label] = None
         expr = self.build(items[2], env)
-        self.nodes[label] = SetNode(label, env.get(target_orig, target_orig), target_orig, expr)
+        self.nodes[label] = SetNode(label, env.get(target_orig, target_orig), expr)
         return label
 
     def _build_callcc(self, sx: SExpr, env: dict[str, str]) -> Label:
@@ -354,16 +339,20 @@ class _Builder:
         self.nodes[label] = None
         self.nodes[binds_label] = ListMarkerNode(binds_label, label)
         bindings = []
+        seen: set[str] = set()
         inner = dict(env)
         for binding in items[1].items:
             if binding.is_atom or len(binding.items) != 2:
                 raise ValidationError("let binding must be (name expr)", binding.line, binding.col)
             orig = self._ident(binding.items[0], "let binding name")
             self._check_not_prim([orig], binding.items[0])
+            if orig in seen:
+                raise ValidationError("duplicate let binding names", sx.line, sx.col)
+            seen.add(orig)
             renamed = self.rename(orig)
             expr = self.build(binding.items[1], env)  # binding exprs see the outer scope
             inner[orig] = renamed
-            bindings.append((renamed, orig, expr))
+            bindings.append((renamed, expr))
         body = self.build(items[2], inner)
         self.nodes[label] = LetNode(label, binds_label, tuple(bindings), body)
         return label
@@ -382,7 +371,7 @@ class _Builder:
         label = self.fresh_label()
         datum_label = self.fresh_label()
         self.nodes[label] = QuoteNode(label, datum_label)
-        self.nodes[datum_label] = DatumNode(datum_label, _datum_text(items[1]))
+        self.nodes[datum_label] = DatumNode(datum_label)
         return label
 
     def _build_prim(self, sx: SExpr, env: dict[str, str]) -> Label:
@@ -398,7 +387,7 @@ class _Builder:
         op_label = self.fresh_label()
         args_label = self.fresh_label()
         self.nodes[label] = None
-        self.nodes[op_label] = PrimOpNode(op_label, op)
+        self.nodes[op_label] = PrimOpNode(op_label)
         self.nodes[args_label] = ListMarkerNode(args_label, label)
         args = tuple(self.build(a, env) for a in items[1:])
         self.nodes[label] = PrimCallNode(label, op_label, op, args_label, args)
@@ -428,16 +417,15 @@ class _Builder:
                     f"cannot bind primitive operator name {name!r}", sx.line, sx.col
                 )
 
-
-@dataclass(frozen=True)
-class PrimOpNode(Node):
-    op: str
-
-
-def _datum_text(sx: SExpr) -> str:
-    if sx.is_atom:
-        return sx.atom
-    return "(" + " ".join(_datum_text(i) for i in sx.items) + ")"
+    # Special-form head -> builder; any other list is a primitive or a call.
+    _SPECIAL_FORMS = {
+        "lambda": _build_lambda,
+        "if": _build_if,
+        "set!": _build_setb,
+        "call/cc": _build_callcc,
+        "let": _build_let,
+        "quote": _build_quote,
+    }
 
 
 def label_program(forms: list[SExpr], allow_quote: bool = False) -> LabeledProgram:
@@ -446,7 +434,7 @@ def label_program(forms: list[SExpr], allow_quote: bool = False) -> LabeledProgr
         raise ValidationError(f"expected exactly one top-level expression, got {len(forms)}")
     builder = _Builder(allow_quote)
     root = builder.build(forms[0], {})
-    return LabeledProgram(root, builder.nodes, builder.original_names)
+    return LabeledProgram(root, builder.nodes)
 
 
 def read_program(text: str, allow_quote: bool = False) -> LabeledProgram:
@@ -481,8 +469,7 @@ def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
         fv = set()
     elif isinstance(node, LambdaNode):
         body = syntactic_free_vars(p, node.body)
-        params = [renamed for _, renamed, _ in node.params]
-        fv = {x for x in body if any(v != x for v in params)}
+        fv = {x for x in body if any(v != x for v in node.params)}
     elif isinstance(node, IfNode):
         fv = {
             *syntactic_free_vars(p, node.guard),
@@ -501,7 +488,7 @@ def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
         owner = p.nodes[node.owner]
         fv = set()
         if isinstance(owner, LetNode) and node.label == owner.binds_label:
-            for renamed, _, expr in owner.bindings:
+            for renamed, expr in owner.bindings:
                 fv.update(x for x in syntactic_free_vars(p, expr) if x != renamed)
         elif isinstance(owner, (CallNode, PrimCallNode)) and node.label == owner.args_label:
             for arg in owner.args:
@@ -517,23 +504,23 @@ def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
 # EDB extraction and the .facts on-disk format
 # ---------------------------------------------------------------------------
 
-EDB_SCHEMA: dict[str, tuple[str, ...]] = {
-    "top_exp": ("label",),
-    "lambda": ("label", "label", "label"),
-    "lambda_arg_list": ("label", "int", "name"),
-    "prim": ("label", "name"),
-    "prim_call": ("label", "label", "label"),
-    "call": ("label", "label", "label"),
-    "call_arg_list": ("label", "int", "label"),
-    "var": ("label", "name"),
-    "num": ("label", "int"),
-    "bool": ("label", "name"),
-    "quotation": ("label", "label"),
-    "if": ("label", "label", "label", "label"),
-    "setb": ("label", "name", "label"),
-    "callcc": ("label", "label"),
-    "let": ("label", "label", "label"),
-    "let_list": ("label", "name", "label"),
+EDB_SCHEMA: dict[str, int] = {
+    "top_exp": 1,
+    "lambda": 3,
+    "lambda_arg_list": 3,
+    "prim": 2,
+    "prim_call": 3,
+    "call": 3,
+    "call_arg_list": 3,
+    "var": 2,
+    "num": 2,
+    "bool": 2,
+    "quotation": 2,
+    "if": 4,
+    "setb": 3,
+    "callcc": 2,
+    "let": 3,
+    "let_list": 3,
 }
 
 
@@ -561,7 +548,7 @@ def extract_facts(p: LabeledProgram) -> EDB:
             facts["var"].add((label, node.name))
         elif isinstance(node, LambdaNode):
             facts["lambda"].add((label, node.vars_label, node.body))
-            for pos, renamed, _ in node.params:
+            for pos, renamed in enumerate(node.params):
                 facts["lambda_arg_list"].add((node.vars_label, pos, renamed))
         elif isinstance(node, IfNode):
             facts["if"].add((label, node.guard, node.then, node.other))
@@ -571,7 +558,7 @@ def extract_facts(p: LabeledProgram) -> EDB:
             facts["callcc"].add((label, node.expr))
         elif isinstance(node, LetNode):
             facts["let"].add((label, node.binds_label, node.body))
-            for renamed, _, expr in node.bindings:
+            for renamed, expr in node.bindings:
                 facts["let_list"].add((node.binds_label, renamed, expr))
         elif isinstance(node, PrimCallNode):
             facts["prim"].add((node.op_label, node.op_name))

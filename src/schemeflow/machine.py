@@ -35,6 +35,7 @@ from schemeflow.frontend import (
     SetNode,
     VarNode,
     extract_facts,
+    syntactic_free_vars,
 )
 from schemeflow.terms import (
     ArgK,
@@ -79,7 +80,7 @@ def _arg_lists(program: LabeledProgram) -> dict[Label, tuple[tuple[int, Label], 
 
 
 def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> list[Term]:
-    node = program.node(e)
+    node = program.nodes[e]
     if isinstance(node, NumNode):
         return [Number(node.value)]
     if isinstance(node, BoolNode):
@@ -93,7 +94,7 @@ def _eval_emissions(
     program: LabeledProgram, cfg: AnalysisConfig, e: Label, ctx: Context, ak: KAddr, lookup
 ) -> list[tuple[str, tuple]]:
     """All facts the eval-state transition derives, current store given."""
-    node = program.node(e)
+    node = program.nodes[e]
     out: list[tuple[str, tuple]] = []
     if isinstance(node, _CONTEXT_FORMS):
         out.append(("peek_ctx", (e, ctx, make_context(e, ctx, cfg.m))))
@@ -134,7 +135,7 @@ def _eval_emissions(
         ]
     elif isinstance(node, LetNode):
         ectx = make_context(e, ctx, cfg.m)
-        for renamed, _original, bexpr in node.bindings:
+        for renamed, bexpr in node.bindings:
             ka = KAddr(bexpr, ctx)
             out += [
                 ("state_e", (bexpr, ctx, ka)),
@@ -191,9 +192,9 @@ def _apply_emissions(
         ectx, next_ak = frame.args
         if val.tag == "Closure":
             elam, ctx_clo = val.args
-            lam = program.node(elam)
+            lam = program.nodes[elam]
             if lam.params:
-                x = lam.params[0][1]
+                x = lam.params[0]
                 out += [
                     ("state_e", (lam.body, ectx, next_ak)),
                     ("stored_val", (VAddr(x, ectx), KontRef(ak))),
@@ -226,9 +227,9 @@ def _apply_emissions(
         fn, pos, ectx, next_ak = frame.args
         if fn.tag == "Closure":
             elam, ctx_clo = fn.args
-            lam = program.node(elam)
+            lam = program.nodes[elam]
             if pos < len(lam.params):
-                x = lam.params[pos][1]
+                x = lam.params[pos]
                 out += [
                     ("state_e", (lam.body, ectx, next_ak)),
                     ("stored_val", (VAddr(x, ectx), val)),
@@ -265,7 +266,7 @@ def _copy_emissions(
     program: LabeledProgram, frm: Context, to: Context, e: Label, lookup
 ) -> list[tuple[str, tuple]]:
     out = []
-    for fv in program.free_vars(e):
+    for fv in syntactic_free_vars(program, e):
         for val in lookup(VAddr(fv, frm)):
             out.append(("stored_val", (VAddr(fv, to), val)))
     return out
@@ -363,7 +364,7 @@ class Machine:
     def process(self, rel: str, row: tuple) -> None:
         if rel == "state_e":
             e, ctx, ak = row
-            node = self.program.node(e)
+            node = self.program.nodes[e]
             if self.trace is not None:
                 self._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
             if isinstance(node, VarNode):
@@ -394,7 +395,7 @@ class Machine:
                 self.emit("flow_ea", (e, val))
             x, ctx = av.args
             for to, elam in self.copy_from.get(ctx, ()):
-                if x in self.program.free_vars(elam):
+                if x in syntactic_free_vars(self.program, elam):
                     if self.trace is not None:
                         self._t("copy", x, ctx, to)
                     self.emit("stored_val", (VAddr(x, to), val))
@@ -423,7 +424,7 @@ class Machine:
         """Seed the free-variable relation and the injected initial facts."""
         self.total_facts = sum(len(rows) for rows in extract_facts(self.program).facts.values())
         for e in self.program.nodes:
-            for x in self.program.free_vars(e):
+            for x in syntactic_free_vars(self.program, e):
                 self.emit("freevar", (x, e))
         root = self.program.root
         eps = EMPTY_CONTEXT
@@ -440,7 +441,6 @@ class Machine:
 
     def result(self) -> AnalysisResult:
         return AnalysisResult(
-            config=self.cfg,
             relations={name: set(rows) for name, rows in self.relations.items()},
             engine="worklist",
             rounds=self.steps,

@@ -36,16 +36,11 @@ from schemeflow.errors import ValidationError
 from schemeflow.terms import render
 
 # The relations a run publishes; everything else is internal bookkeeping.
-OUTPUT_RELATIONS: tuple[str, ...] = (
-    "state_e",
-    "state_a",
-    "stored_val",
-    "stored_kont",
-    "flow_aa",
-    "flow_ae",
-    "flow_ea",
-    "flow_ee",
-)
+# ``diff`` compares the first group by default; flow edges are derived
+# bookkeeping and opt-in via --diff-flows.
+DIFF_RELATIONS: tuple[str, ...] = ("state_e", "state_a", "stored_val", "stored_kont")
+FLOW_RELATIONS: tuple[str, ...] = ("flow_aa", "flow_ae", "flow_ea", "flow_ee")
+OUTPUT_RELATIONS: tuple[str, ...] = DIFF_RELATIONS + FLOW_RELATIONS
 
 
 def render_row(row: tuple) -> tuple[str, ...]:

@@ -4,9 +4,11 @@ Every label, context, address, abstract value, and continuation frame is a
 hash-consed ("interned") immutable term: constructing the same shape twice
 returns the same object, so equality is identity and terms can be used as
 dictionary keys at pointer speed.  Each term carries a ``tag`` (its canonical
-constructor name) and an ``args`` tuple, which generic code — the rule engine,
-the serializer — uses to destructure and rebuild terms without knowing the
-concrete classes.
+constructor name) and an ``args`` tuple.  Terms have no named fields: every
+reader — the rule engine, the serializer, the machine — destructures
+``args`` by position and rebuilds terms by tag.  The layout of each
+constructor is stated where it is used: the ``T(tag, ...)`` patterns of the
+analysis rules and the ``... = frame.args`` unpacks of the machine.
 
 The canonical textual form of a term is an s-expression such as
 ``(Closure e4 (Context e7))``; see :func:`render`.
@@ -28,21 +30,19 @@ TERM_TYPES: dict[str, type["Term"]] = {}
 class Term:
     """Base class for interned terms.
 
-    Subclasses set ``tag`` (the canonical constructor name) and ``_fields``
-    (names for the positions of ``args``, exposed as attributes).  Instances
-    are interned per-class: ``cls(*args)`` returns the existing object when
-    one with equal args was built before.  Equality and hashing are therefore
+    Subclasses set ``tag`` (the canonical constructor name).  Instances are
+    interned per-class: ``cls(*args)`` returns the existing object when one
+    with equal args was built before.  Equality and hashing are therefore
     the inherited identity semantics.
 
     ``_text`` caches :func:`render`; ``_depth`` is the ``PrimVal`` nesting
-    depth, 0 here and a slot filled at interning in ``PrimVal``.  Neither may
-    share a name with a field (``Label`` has a field ``text``).  Every
-    subclass declares ``__slots__``, so no term carries an instance dict.
+    depth (non-PrimVal terms are 0, each PrimVal adds 1), 0 here and a slot
+    filled at interning in ``PrimVal``.  Every subclass declares
+    ``__slots__``, so no term carries an instance dict.
     """
 
     __slots__ = ("args", "_text")
     tag: ClassVar[str] = "?"
-    _fields: ClassVar[tuple[str, ...]] = ()
     _pool: ClassVar[dict]
     _depth: ClassVar[int] = 0
 
@@ -67,13 +67,6 @@ class Term:
     def _interned(self) -> None:
         """Fill memo slots that depend only on ``args``; runs once per term."""
 
-    def __getattr__(self, name: str):
-        try:
-            idx = type(self)._fields.index(name)
-        except ValueError:
-            raise AttributeError(name) from None
-        return self.args[idx]
-
     def __repr__(self) -> str:
         return render(self)
 
@@ -90,7 +83,6 @@ class Label(Term):
 
     __slots__ = ()
     tag = "id"
-    _fields = ("text",)
 
 
 class Context(Term):
@@ -98,11 +90,6 @@ class Context(Term):
 
     __slots__ = ()
     tag = "Context"
-    _fields = ()
-
-    @property
-    def frames(self) -> tuple[Label, ...]:
-        return self.args
 
 
 EMPTY_CONTEXT = Context()
@@ -111,13 +98,11 @@ EMPTY_CONTEXT = Context()
 class VAddr(Term):
     __slots__ = ()
     tag = "VAddress"
-    _fields = ("var", "ctx")
 
 
 class KAddr(Term):
     __slots__ = ()
     tag = "KAddress"
-    _fields = ("expr", "ctx")
 
 
 # ---------------------------------------------------------------------------
@@ -128,19 +113,16 @@ class KAddr(Term):
 class Number(Term):
     __slots__ = ()
     tag = "Number"
-    _fields = ("n",)
 
 
 class Bool(Term):
     __slots__ = ()
     tag = "Bool"
-    _fields = ("b",)
 
 
 class Closure(Term):
     __slots__ = ()
     tag = "Closure"
-    _fields = ("lam", "ctx")
 
 
 class KontRef(Term):
@@ -148,13 +130,11 @@ class KontRef(Term):
 
     __slots__ = ()
     tag = "Kont"
-    _fields = ("ka",)
 
 
 class PrimVal(Term):
     __slots__ = ("_depth",)
     tag = "PrimVal"
-    _fields = ("op", "v1", "v2")
 
     def _interned(self) -> None:
         self._depth = 1 + max(self.args[1]._depth, self.args[2]._depth)
@@ -165,7 +145,6 @@ class NumTop(Term):
 
     __slots__ = ()
     tag = "NumTop"
-    _fields = ()
 
 
 NUM_TOP = NumTop()
@@ -179,7 +158,6 @@ NUM_TOP = NumTop()
 class MT(Term):
     __slots__ = ()
     tag = "MT"
-    _fields = ()
 
 
 MT_FRAME = MT()
@@ -188,49 +166,41 @@ MT_FRAME = MT()
 class IfK(Term):
     __slots__ = ()
     tag = "If"
-    _fields = ("et", "ef", "ctx", "next")
 
 
 class SetK(Term):
     __slots__ = ()
     tag = "Set"
-    _fields = ("loc", "next")
 
 
 class CallccK(Term):
     __slots__ = ()
     tag = "Callcc"
-    _fields = ("ectx", "next")
 
 
 class LetK(Term):
     __slots__ = ()
     tag = "Let"
-    _fields = ("av", "body", "ctx", "next")
 
 
 class ArgK(Term):
     __slots__ = ()
     tag = "Arg"
-    _fields = ("args_label", "ctx", "ectx", "next")
 
 
 class FnK(Term):
     __slots__ = ()
     tag = "Fn"
-    _fields = ("fn", "pos", "ctx", "next")
 
 
 class Prim1K(Term):
     __slots__ = ()
     tag = "Prim1"
-    _fields = ("op", "e2", "ctx", "next")
 
 
 class Prim2K(Term):
     __slots__ = ()
     tag = "Prim2"
-    _fields = ("op", "v1", "next")
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +220,6 @@ def make_context(call_label: Label, ctx: Context, m: int) -> Context:
 # ---------------------------------------------------------------------------
 # Widening
 # ---------------------------------------------------------------------------
-
-
-def primval_depth(v: Term) -> int:
-    """PrimVal nesting depth: non-PrimVal terms are 0, each PrimVal adds 1.
-
-    O(1): a PrimVal's depth is computed from its children's when it is
-    interned and kept on the term.
-    """
-    return v._depth
 
 
 def _cut(v: Term, remaining: int) -> Term:

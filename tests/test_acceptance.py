@@ -38,7 +38,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def values_by_original_name(program, result, wanted: str) -> dict:
     sets: dict = {}
     for av, val in result.relations["stored_val"]:
-        if program.original_names.get(av.var, av.var) == wanted:
+        if av.args[0].split("~")[0] == wanted:
             sets.setdefault(av, set()).add(val)
     return sets
 
@@ -114,7 +114,7 @@ def test_criterion_3_precision_boundary():
                 result = analyze(program, config(m=m))
                 sets = {}
                 for av, val in result.relations["stored_val"]:
-                    orig = program.original_names.get(av.var, av.var)
+                    orig = av.args[0].split("~")[0]
                     if orig.startswith("m") and orig[1:].isdigit():
                         sets.setdefault(av, set()).add(val)
                 singleton = all(len(s) == 1 for s in sets.values())

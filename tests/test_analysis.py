@@ -203,7 +203,7 @@ class TestAtomicRules:
         # yields two state_a facts at each address the body is run under.
         program = read_program(CONFLATE)
         lam = next(n for n in program.nodes.values() if isinstance(n, LambdaNode))
-        body_reader = program.node(lam.body)
+        body_reader = program.nodes[lam.body]
         assert isinstance(body_reader, VarNode)
         result = analyze(program, config(m=0))
         body_aks = {ak for e, _, ak in result.relations["state_e"] if e == lam.body}
@@ -219,7 +219,7 @@ class TestApplyRules:
         xvals = {
             val
             for av, val in result.relations["stored_val"]
-            if av.var == "x~2"
+            if av.args[0] == "x~2"
         }
         assert xvals == {Bool("#t"), Bool("#f")}
         numbers = {v.args[0] for v, _ in result.relations["state_a"] if v.tag == "Number"}
@@ -232,7 +232,7 @@ class TestApplyRules:
 
     def test_set_writes_and_returns_sentinel(self):
         result = analyze(read_program("(let ((x 1)) (set! x 2))"), config())
-        stored = {(av.var, val) for av, val in result.relations["stored_val"]}
+        stored = {(av.args[0], val) for av, val in result.relations["stored_val"]}
         assert ("x~1", Number(1)) in stored
         assert ("x~1", Number(2)) in stored
         assert Number(-42) in {v for v, _ in result.relations["state_a"]}
@@ -329,7 +329,7 @@ class TestInvariants:
             for row in rows:
                 for col in row:
                     for ctx in _contexts_in(col):
-                        assert len(ctx.frames) <= m
+                        assert len(ctx.args) <= m
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_address_discipline(self, m):
@@ -341,13 +341,11 @@ class TestInvariants:
     def test_widening_caps_primval_depth(self):
         source = corpus("18_loop_widen")
         result = analyze(read_program(source), config(widen_depth=2))
-        from schemeflow.terms import primval_depth
-
         vals = {v for v, _ in result.relations["state_a"]}
         assert any(NUM_TOP in getattr(v, "args", ()) or v is NUM_TOP for v in vals) or any(
-            primval_depth(v) == 2 for v in vals
+            v._depth == 2 for v in vals
         )
-        assert all(primval_depth(v) <= 2 for v in vals)
+        assert all(v._depth <= 2 for v in vals)
 
     def test_m_monotone_on_binding_addresses(self):
         # Generated-family claim, spot-checked here on the conflation
@@ -359,7 +357,7 @@ class TestInvariants:
             sets = {}
             for av, val in result.relations["stored_val"]:
                 if val.tag in ("Number", "Bool"):
-                    sets.setdefault(av.var, set()).add(val)
+                    sets.setdefault(av.args[0], set()).add(val)
             per_m[m] = sets
         for m in (0, 1):
             for var, bigger in per_m[m].items():

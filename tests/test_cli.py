@@ -257,6 +257,13 @@ class TestFailureModes:
         assert main(["analyze", str(bad), "--out", str(tmp_path / "x")]) == 1
         assert "let requires at least one binding" in capsys.readouterr().err
 
+    def test_duplicate_let_names_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.scm"
+        bad.write_text("(let ((x 1) (x 2)) x)")
+        for command in ("analyze", "oracle"):
+            assert main([command, str(bad), "--out", str(tmp_path / "x")]) == 1
+            assert capsys.readouterr().err == "error: 1:1: duplicate let binding names\n"
+
     def test_fact_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):
         loop = tmp_path / "loop.scm"
         loop.write_text(LOOP_SOURCE)

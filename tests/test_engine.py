@@ -15,7 +15,7 @@ import weakref
 import pytest
 
 from schemeflow import analysis, engine
-from schemeflow.analysis import build_analysis_ruleset
+from schemeflow.analysis import AnalysisConfig, build_analysis_ruleset
 from schemeflow.engine import (
     A,
     PVar,
@@ -268,9 +268,9 @@ class TestTermPatterns:
 def fresh_rulesets():
     """Analysis rule sets are built anew while the fixture is active and
     forgotten after it, so no other test runs rules built here."""
-    build_analysis_ruleset.cache_clear()
+    analysis._ruleset.cache_clear()
     yield
-    build_analysis_ruleset.cache_clear()
+    analysis._ruleset.cache_clear()
 
 
 class TestBodyOrder:
@@ -507,6 +507,10 @@ class TestCompileOnce:
     def test_analysis_rule_set_is_built_once_per_config(self):
         assert build_analysis_ruleset(config(m=1)) is build_analysis_ruleset(config(m=1))
         assert build_analysis_ruleset(config(m=1)) is not build_analysis_ruleset(config(m=2))
+
+    def test_configs_differing_only_in_the_ceiling_share_one_rule_set(self):
+        ruleset = build_analysis_ruleset(AnalysisConfig(m=0))
+        assert build_analysis_ruleset(AnalysisConfig(m=0, fact_ceiling=10)) is ruleset
 
     def test_a_second_analyze_generates_no_join_source(self, plan_texts, corpus_programs):
         program, cfg = corpus_programs["17_vanhorn"], config(m=1)

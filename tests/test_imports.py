@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by its module."""
+"""Every module-level import in the package is used by its module, and
+every module-level name is read by the program, not only by tests."""
 
 from __future__ import annotations
 
@@ -7,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).parent.parent / "src" / "schemeflow"
+import schemeflow
+
+ROOT = Path(__file__).parent.parent
+SRC = ROOT / "src" / "schemeflow"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
@@ -23,12 +27,12 @@ def _imported(tree: ast.Module) -> list[str]:
 
 
 def _used(tree: ast.Module) -> set[str]:
-    """Names read anywhere, including inside quoted annotations."""
+    """Names loaded anywhere, including inside quoted annotations."""
     used = set()
     pending: list[ast.AST] = [tree]
     while pending:
         for node in ast.walk(pending.pop()):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
             annotation = None
             if isinstance(node, (ast.arg, ast.AnnAssign)):
@@ -48,3 +52,56 @@ def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
     assert [name for name in _imported(tree) if name not in used] == []
+
+
+def _read(node: ast.AST) -> set[str]:
+    """Names loaded, and attributes read, anywhere in ``node``."""
+    return _used(node) | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def _benchmark_names() -> set[str]:
+    """Every identifier and string the benchmark's own code mentions; it
+    reaches the package through attributes and names it wraps by string."""
+    names = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def test_every_module_level_name_is_read_by_the_program():
+    """A module-level function, class or assigned name is read by another
+    top-level statement of the package, exported by ``schemeflow.__all__``,
+    or used by the benchmark; a name only tests read is dead code."""
+    statements = [
+        (path.name, stmt)
+        for path in sorted(SRC.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+    ]
+    reads = [_read(stmt) for _, stmt in statements]
+    exported = set(schemeflow.__all__) | _benchmark_names()
+    unread = [
+        f"{module}:{name}"
+        for i, (module, stmt) in enumerate(statements)
+        for name in _defined(stmt)
+        if not name.startswith("__")
+        and name not in exported
+        and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []

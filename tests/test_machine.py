@@ -133,8 +133,10 @@ class TestRunFixpoint:
         assert run_fixpoint(program, cfg).relations == analyze(program, cfg).relations
 
     def test_default_config_used_when_omitted(self):
-        result = run_fixpoint(read_program("42"))
-        assert result.config.m == 0
+        program = read_program(corpus("16_conflate_branches"))
+        default = run_fixpoint(program).relations
+        assert default == run_fixpoint(program, AnalysisConfig()).relations
+        assert default != run_fixpoint(program, AnalysisConfig(m=1)).relations
 
     def test_ceiling_trips_in_strict_mode(self):
         cfg = AnalysisConfig(widen_depth=None, primval_truthiness="appendix-exact", fact_ceiling=30_000)

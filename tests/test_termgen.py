@@ -24,7 +24,7 @@ def binding_value_sets(source: str, m: int) -> dict[str, set]:
     result = analyze(program, config(m=m))
     sets: dict[str, set] = {}
     for av, val in result.relations["stored_val"]:
-        original = program.original_names.get(av.var, av.var)
+        original = av.args[0].split("~")[0]
         if original.startswith("m") and original[1:].isdigit():
             sets.setdefault(original, set()).add(val)
     return sets
@@ -65,7 +65,7 @@ class TestVanHorn:
         result = analyze(program, config(m=0))
         zvals = set()
         for av, val in result.relations["stored_val"]:
-            if program.original_names.get(av.var) == "z":
+            if av.args[0].split("~")[0] == "z":
                 zvals.add(val)
         assert {v.args[0] for v in zvals if v.tag == "Bool"} == {"#t", "#f"}
 
@@ -83,8 +83,8 @@ class TestWorstCaseShape:
         f_calls = [
             c
             for c in calls
-            if isinstance(program.node(c.func), VarNode)
-            and program.original_names.get(program.node(c.func).name) == "f"
+            if isinstance(program.nodes[c.func], VarNode)
+            and program.nodes[c.func].name.split("~")[0] == "f"
         ]
         assert len(f_calls) == 2
         assert len(edb.facts["prim_call"]) == 1

@@ -24,7 +24,6 @@ from schemeflow.terms import (
     Term,
     VAddr,
     make_context,
-    primval_depth,
     render,
     widen_value,
 )
@@ -44,9 +43,8 @@ class TestInterning:
 
     def test_field_access(self):
         c = Closure(e4, Context(e7))
-        assert c.lam is e4
-        assert c.ctx is Context(e7)
-        assert Context(e7, e3).frames == (e7, e3)
+        assert c.args == (e4, Context(e7))
+        assert Context(e7, e3).args == (e7, e3)
 
     def test_copy_returns_same_object(self):
         k = KAddr(e2, Context(e9))
@@ -71,8 +69,8 @@ class TestMakeContext:
         assert make_context(e7, Context(e3), 0) is EMPTY_CONTEXT
 
     def test_result_length_is_min(self):
-        assert len(make_context(e7, EMPTY_CONTEXT, 2).frames) == 1
-        assert len(make_context(e7, Context(e3, e1), 2).frames) == 2
+        assert len(make_context(e7, EMPTY_CONTEXT, 2).args) == 1
+        assert len(make_context(e7, Context(e3, e1), 2).args) == 2
 
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
@@ -82,20 +80,20 @@ class TestMakeContext:
     def test_length_never_exceeds_m(self, m, frame_ids):
         ctx = Context(*(Label(f"e{i}") for i in frame_ids))
         out = make_context(e7, ctx, m)
-        assert len(out.frames) <= m
-        assert len(out.frames) == min(m, 1 + len(ctx.frames))
+        assert len(out.args) <= m
+        assert len(out.args) == min(m, 1 + len(ctx.args))
 
 
 class TestAllocators:
     def test_alloc_v_pairs(self):
         av = VAddr("z", Context(e4))
         assert av is VAddr("z", Context(e4))
-        assert (av.var, av.ctx) == ("z", Context(e4))
+        assert av.args == ("z", Context(e4))
 
     def test_alloc_k_pairs(self):
         ak = KAddr(e2, Context(e9))
         assert ak is KAddr(e2, Context(e9))
-        assert (ak.expr, ak.ctx) == (e2, Context(e9))
+        assert ak.args == (e2, Context(e9))
 
     def test_distinct_ctx_distinct_address(self):
         assert KAddr(e2, Context(e9)) is not KAddr(e2, EMPTY_CONTEXT)
@@ -148,7 +146,7 @@ class TestWidening:
         deep = _pv(*(Number(i) for i in range(leaves)))
         once = widen_value(deep, limit)
         assert widen_value(once, limit) is once
-        assert primval_depth(once) <= limit
+        assert once._depth <= limit
 
 
 class TestRender:
@@ -221,21 +219,19 @@ class TestMemo:
 
     @given(_trees)
     def test_depth_matches_reference(self, t):
-        assert primval_depth(t) == _reference_depth(t)
+        assert t._depth == _reference_depth(t)
 
     @given(_trees, st.integers(min_value=1, max_value=6))
     def test_widen_returns_shallow_values_unchanged(self, t, limit):
         if _reference_depth(t) <= limit:
             assert widen_value(t, limit) is t
         else:
-            assert primval_depth(widen_value(t, limit)) == limit
+            assert widen_value(t, limit)._depth == limit
 
     @pytest.mark.parametrize("tag", sorted(TERM_TYPES))
     def test_fields_read_their_args_and_no_instance_dict(self, tag):
-        # A memo slot named like a field (Label has ``text``) would shadow it.
-        cls = TERM_TYPES[tag]
-        args = tuple(Number(1000 + i) for i in range(len(cls._fields)))
-        term = cls(*args)
-        for i, name in enumerate(cls._fields):
-            assert getattr(term, name) is args[i]
+        # Constructors check no arity; three args are enough for PrimVal.
+        args = tuple(Number(1000 + i) for i in range(3))
+        term = TERM_TYPES[tag](*args)
+        assert term.args == args
         assert not hasattr(term, "__dict__")
