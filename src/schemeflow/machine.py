@@ -6,7 +6,10 @@ address⟩ or ⟨value, continuation address⟩, and the value/continuation
 stores are global join-semilattices.  Every transition mirrors one
 deductive rule of the analysis module head-for-head (flow edges included),
 so for any program and configuration the two paths must produce identical
-relation sets — that equality is the core differential test.
+relation sets — that equality is the core differential test.  Each
+transition is one function that hands every fact it derives to an ``emit``
+callback: the machine's callback records the fact, and ``recheck``'s raises
+unless the fact is already present.
 
 The driver is event-based: each newly added fact (state, store entry, or
 context copy) is processed exactly once, and processing joins it against
@@ -18,7 +21,7 @@ each emission depends only on the joined pair, never on driver state.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable
+from typing import Callable
 
 from schemeflow.analysis import AnalysisConfig, AnalysisResult, IDB_SCHEMA
 from schemeflow.errors import FactCeilingExceeded, ValidationError
@@ -64,8 +67,10 @@ from schemeflow.terms import (
 )
 
 # ---------------------------------------------------------------------------
-# Transition emissions (pure: lists of (relation, row) pairs)
+# Transition emissions (each derived fact goes to ``emit(relation, row)``)
 # ---------------------------------------------------------------------------
+
+Emit = Callable[[str, tuple], None]
 
 _ATOMIC = (NumNode, BoolNode, LambdaNode, VarNode)
 _CONTEXT_FORMS = (CallccNode, CallNode, LetNode, LambdaNode)
@@ -91,68 +96,60 @@ def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> l
 
 
 def _eval_emissions(
-    program: LabeledProgram, cfg: AnalysisConfig, e: Label, ctx: Context, ak: KAddr, lookup
-) -> list[tuple[str, tuple]]:
-    """All facts the eval-state transition derives, current store given."""
+    program: LabeledProgram,
+    cfg: AnalysisConfig,
+    e: Label,
+    ctx: Context,
+    ak: KAddr,
+    lookup,
+    emit: Emit,
+) -> None:
+    """Emit every fact the eval-state transition derives, current store given."""
     node = program.nodes[e]
-    out: list[tuple[str, tuple]] = []
     if isinstance(node, _CONTEXT_FORMS):
-        out.append(("peek_ctx", (e, ctx, make_context(e, ctx, cfg.m))))
+        emit("peek_ctx", (e, ctx, make_context(e, ctx, cfg.m)))
     if isinstance(node, _ATOMIC):
         for val in _atomic_values(program, e, ctx, lookup):
-            out.append(("state_a", (val, ak)))
-            out.append(("flow_ea", (e, val)))
-        return out
+            emit("state_a", (val, ak))
+            emit("flow_ea", (e, val))
+        return
     if isinstance(node, IfNode):
         ka = KAddr(node.guard, ctx)
-        out += [
-            ("state_e", (node.guard, ctx, ka)),
-            ("stored_kont", (ka, IfK(node.then, node.other, ctx, ak))),
-            ("flow_ee", (e, node.guard)),
-        ]
+        emit("state_e", (node.guard, ctx, ka))
+        emit("stored_kont", (ka, IfK(node.then, node.other, ctx, ak)))
+        emit("flow_ee", (e, node.guard))
     elif isinstance(node, SetNode):
         ka = KAddr(node.expr, ctx)
-        out += [
-            ("state_e", (node.expr, ctx, ka)),
-            ("stored_kont", (ka, SetK(VAddr(node.target, ctx), ak))),
-            ("flow_ee", (e, node.expr)),
-        ]
+        emit("state_e", (node.expr, ctx, ka))
+        emit("stored_kont", (ka, SetK(VAddr(node.target, ctx), ak)))
+        emit("flow_ee", (e, node.expr))
     elif isinstance(node, CallccNode):
         ectx = make_context(e, ctx, cfg.m)
         ka = KAddr(node.expr, ctx)
-        out += [
-            ("state_e", (node.expr, ctx, ka)),
-            ("stored_kont", (ka, CallccK(ectx, ak))),
-            ("flow_ee", (e, node.expr)),
-        ]
+        emit("state_e", (node.expr, ctx, ka))
+        emit("stored_kont", (ka, CallccK(ectx, ak)))
+        emit("flow_ee", (e, node.expr))
     elif isinstance(node, CallNode):
         ectx = make_context(e, ctx, cfg.m)
         ka = KAddr(node.func, ctx)
-        out += [
-            ("state_e", (node.func, ctx, ka)),
-            ("stored_kont", (ka, ArgK(node.args_label, ctx, ectx, ak))),
-            ("flow_ee", (e, node.func)),
-        ]
+        emit("state_e", (node.func, ctx, ka))
+        emit("stored_kont", (ka, ArgK(node.args_label, ctx, ectx, ak)))
+        emit("flow_ee", (e, node.func))
     elif isinstance(node, LetNode):
         ectx = make_context(e, ctx, cfg.m)
         for renamed, bexpr in node.bindings:
             ka = KAddr(bexpr, ctx)
-            out += [
-                ("state_e", (bexpr, ctx, ka)),
-                ("stored_kont", (ka, LetK(VAddr(renamed, ectx), node.body, ectx, ak))),
-                ("flow_ee", (e, bexpr)),
-            ]
-        out.append(("copy_ctx", (ctx, ectx, e)))
+            emit("state_e", (bexpr, ctx, ka))
+            emit("stored_kont", (ka, LetK(VAddr(renamed, ectx), node.body, ectx, ak)))
+            emit("flow_ee", (e, bexpr))
+        emit("copy_ctx", (ctx, ectx, e))
     elif isinstance(node, PrimCallNode):
         ea0, ea1 = node.args
         ka = KAddr(ea0, ctx)
-        out += [
-            ("state_e", (ea0, ctx, ka)),
-            ("stored_kont", (ka, Prim1K(node.op_name, ea1, ctx, ak))),
-            ("flow_ee", (e, ea0)),
-        ]
+        emit("state_e", (ea0, ctx, ka))
+        emit("stored_kont", (ka, Prim1K(node.op_name, ea1, ctx, ak)))
+        emit("flow_ee", (e, ea0))
     # Anything else (quoted data) is inert: no successors.
-    return out
 
 
 def _truthy(cfg: AnalysisConfig, val: Term) -> bool:
@@ -178,16 +175,18 @@ def _apply_emissions(
     val: Term,
     ak: KAddr,
     frame: Term,
-) -> list[tuple[str, tuple]]:
-    """All facts derived from value ``val`` meeting ``frame`` at ``ak``."""
-    out: list[tuple[str, tuple]] = []
+    emit: Emit,
+) -> None:
+    """Emit every fact derived from value ``val`` meeting ``frame`` at ``ak``."""
     tag = frame.tag
     if tag == "If":
         et, ef, ctx_k, next_ak = frame.args
         if _truthy(cfg, val):
-            out += [("state_e", (et, ctx_k, next_ak)), ("flow_ae", (Bool("#t"), et))]
+            emit("state_e", (et, ctx_k, next_ak))
+            emit("flow_ae", (Bool("#t"), et))
         if _falsy(cfg, val):
-            out += [("state_e", (ef, ctx_k, next_ak)), ("flow_ae", (Bool("#f"), ef))]
+            emit("state_e", (ef, ctx_k, next_ak))
+            emit("flow_ae", (Bool("#f"), ef))
     elif tag == "Callcc":
         ectx, next_ak = frame.args
         if val.tag == "Closure":
@@ -195,34 +194,26 @@ def _apply_emissions(
             lam = program.nodes[elam]
             if lam.params:
                 x = lam.params[0]
-                out += [
-                    ("state_e", (lam.body, ectx, next_ak)),
-                    ("stored_val", (VAddr(x, ectx), KontRef(ak))),
-                    ("copy_ctx", (ctx_clo, ectx, elam)),
-                    ("flow_ae", (val, lam.body)),
-                ]
+                emit("state_e", (lam.body, ectx, next_ak))
+                emit("stored_val", (VAddr(x, ectx), KontRef(ak)))
+                emit("copy_ctx", (ctx_clo, ectx, elam))
+                emit("flow_ae", (val, lam.body))
         elif val.tag == "Kont":
             (bk,) = val.args
-            out += [
-                ("state_a", (KontRef(ak), bk)),
-                ("flow_aa", (KontRef(bk), KontRef(ak))),
-            ]
+            emit("state_a", (KontRef(ak), bk))
+            emit("flow_aa", (KontRef(bk), KontRef(ak)))
     elif tag == "Set":
         loc, next_ak = frame.args
-        out += [
-            ("state_a", (Number(-42), next_ak)),
-            ("stored_val", (loc, val)),
-            ("flow_aa", (val, Number(-42))),
-        ]
+        emit("state_a", (Number(-42), next_ak))
+        emit("stored_val", (loc, val))
+        emit("flow_aa", (val, Number(-42)))
     elif tag == "Arg":
         eargs, ctx, ectx, next_ak = frame.args
         for pos, earg in arg_lists.get(eargs, ()):
             ka = KAddr(earg, ctx)
-            out += [
-                ("state_e", (earg, ctx, ka)),
-                ("stored_kont", (ka, FnK(val, pos, ectx, next_ak))),
-                ("flow_ae", (val, earg)),
-            ]
+            emit("state_e", (earg, ctx, ka))
+            emit("stored_kont", (ka, FnK(val, pos, ectx, next_ak)))
+            emit("flow_ae", (val, earg))
     elif tag == "Fn":
         fn, pos, ectx, next_ak = frame.args
         if fn.tag == "Closure":
@@ -230,46 +221,39 @@ def _apply_emissions(
             lam = program.nodes[elam]
             if pos < len(lam.params):
                 x = lam.params[pos]
-                out += [
-                    ("state_e", (lam.body, ectx, next_ak)),
-                    ("stored_val", (VAddr(x, ectx), val)),
-                    ("copy_ctx", (ctx_clo, ectx, elam)),
-                    ("flow_ae", (val, lam.body)),
-                ]
+                emit("state_e", (lam.body, ectx, next_ak))
+                emit("stored_val", (VAddr(x, ectx), val))
+                emit("copy_ctx", (ctx_clo, ectx, elam))
+                emit("flow_ae", (val, lam.body))
         elif fn.tag == "Kont" and pos == 0:
             (ck,) = fn.args
-            out += [("state_a", (val, ck)), ("flow_aa", (val, val))]
+            emit("state_a", (val, ck))
+            emit("flow_aa", (val, val))
     elif tag == "Let":
         av, ebody, ctx, next_ak = frame.args
-        out += [
-            ("state_e", (ebody, ctx, next_ak)),
-            ("stored_val", (av, val)),
-            ("flow_ae", (val, ebody)),
-        ]
+        emit("state_e", (ebody, ctx, next_ak))
+        emit("stored_val", (av, val))
+        emit("flow_ae", (val, ebody))
     elif tag == "Prim1":
         op, ea1, ctx, next_ak = frame.args
         ka = KAddr(ea1, ctx)
-        out += [
-            ("state_e", (ea1, ctx, ka)),
-            ("stored_kont", (ka, Prim2K(op, val, next_ak))),
-            ("flow_ae", (val, ea1)),
-        ]
+        emit("state_e", (ea1, ctx, ka))
+        emit("stored_kont", (ka, Prim2K(op, val, next_ak)))
+        emit("flow_ae", (val, ea1))
     elif tag == "Prim2":
         op, v1, next_ak = frame.args
         widened = widen_value(PrimVal(op, v1, val), cfg.widen_depth)
-        out += [("state_a", (widened, next_ak)), ("flow_aa", (val, widened))]
+        emit("state_a", (widened, next_ak))
+        emit("flow_aa", (val, widened))
     # MT: the final address; values here are results, no successor.
-    return out
 
 
 def _copy_emissions(
-    program: LabeledProgram, frm: Context, to: Context, e: Label, lookup
-) -> list[tuple[str, tuple]]:
-    out = []
+    program: LabeledProgram, frm: Context, to: Context, e: Label, lookup, emit: Emit
+) -> None:
     for fv in syntactic_free_vars(program, e):
         for val in lookup(VAddr(fv, frm)):
-            out.append(("stored_val", (VAddr(fv, to), val)))
-    return out
+            emit("stored_val", (VAddr(fv, to), val))
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +313,9 @@ class Machine:
         self.kstore: dict[Term, dict[Term, None]] = {}
         self.arg_lists = _arg_lists(program)
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
-        self.copy_from: dict[Context, list[tuple[Context, Label]]] = {}
+        # Source address VAddr(x, frm) -> the addresses VAddr(x, to) that the
+        # copy_ctx events seen so far copy it to, one per event.
+        self.copy_to: dict[Term, list[Term]] = {}
         self._avals: dict[Term, list[Term]] = {}
         self.queue: deque[tuple[str, tuple]] = deque()
         self.steps = 0
@@ -355,9 +341,8 @@ class Machine:
         if rel in _EVENT_RELATIONS:
             self.queue.append((rel, row))
 
-    def emit_all(self, emissions: Iterable[tuple[str, tuple]]) -> None:
-        for rel, row in emissions:
-            self.emit(rel, row)
+    def lookup(self, av: Term):
+        return self.vstore.get(av, ())
 
     # -- event processing ----------------------------------------------
 
@@ -369,11 +354,7 @@ class Machine:
                 self._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
             if isinstance(node, VarNode):
                 self.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
-            self.emit_all(
-                _eval_emissions(
-                    self.program, self.cfg, e, ctx, ak, lambda av: self.vstore.get(av, ())
-                )
-            )
+            _eval_emissions(self.program, self.cfg, e, ctx, ak, self.lookup, self.emit)
         elif rel == "state_a":
             val, ak = row
             # Join the new value against already-processed frames only; the
@@ -393,30 +374,23 @@ class Machine:
                     self._t("e-ae", e, val)
                 self.emit("state_a", (val, ak))
                 self.emit("flow_ea", (e, val))
-            x, ctx = av.args
-            for to, elam in self.copy_from.get(ctx, ()):
-                if x in syntactic_free_vars(self.program, elam):
-                    if self.trace is not None:
-                        self._t("copy", x, ctx, to)
-                    self.emit("stored_val", (VAddr(x, to), val))
+            for dst in self.copy_to.get(av, ()):
+                if self.trace is not None:
+                    self._t("copy", *av.args, dst.args[1])
+                self.emit("stored_val", (dst, val))
             self.vstore.setdefault(av, {})[val] = None
         elif rel == "copy_ctx":
             frm, to, e = row
-            self.copy_from.setdefault(frm, []).append((to, e))
+            for x in syntactic_free_vars(self.program, e):
+                self.copy_to.setdefault(VAddr(x, frm), []).append(VAddr(x, to))
             if self.trace is not None:
                 self._t("copy", frm, to, e)
-            self.emit_all(
-                _copy_emissions(
-                    self.program, frm, to, e, lambda av: self.vstore.get(av, ())
-                )
-            )
+            _copy_emissions(self.program, frm, to, e, self.lookup, self.emit)
 
     def apply(self, val: Term, ak: Term, frame: Term) -> None:
         if self.trace is not None:
             self._t(_apply_rule_name(val, frame), val, ak, frame)
-        self.emit_all(
-            _apply_emissions(self.program, self.cfg, self.arg_lists, val, ak, frame)
-        )
+        _apply_emissions(self.program, self.cfg, self.arg_lists, val, ak, frame, self.emit)
 
     # -- driver ----------------------------------------------------------
 
@@ -440,6 +414,9 @@ class Machine:
             self.process(rel, row)
 
     def result(self) -> AnalysisResult:
+        # The copies are compact: a set grown by add() keeps up to 4x slack
+        # in its table, and the result outlives the machine through
+        # serialization, so handing the sets over raises the peak memory.
         return AnalysisResult(
             relations={name: set(rows) for name, rows in self.relations.items()},
             engine="worklist",
@@ -473,20 +450,20 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
         kstore.setdefault(ak, set()).add(k)
     lookup = lambda av: vstore.get(av, ())
     arg_lists = _arg_lists(program)
+    source: tuple = ()
 
-    def check(emissions, source) -> None:
-        for rel, row in emissions:
-            if row not in relations[rel]:
-                raise ValidationError(f"not a fixpoint: {source} re-derives {rel}{row}")
+    def check(rel: str, row: tuple) -> None:
+        if row not in relations[rel]:
+            raise ValidationError(f"not a fixpoint: {source} re-derives {rel}{row}")
 
     for e, ctx, ak in relations["state_e"]:
-        check(_eval_emissions(program, cfg, e, ctx, ak, lookup), ("state_e", e, ctx, ak))
+        source = ("state_e", e, ctx, ak)
+        _eval_emissions(program, cfg, e, ctx, ak, lookup, check)
     for val, ak in relations["state_a"]:
+        source = ("state_a", val, ak)
         for frame in kstore.get(ak, ()):
-            check(
-                _apply_emissions(program, cfg, arg_lists, val, ak, frame),
-                ("state_a", val, ak),
-            )
+            _apply_emissions(program, cfg, arg_lists, val, ak, frame, check)
     for frm, to, e in relations["copy_ctx"]:
-        check(_copy_emissions(program, frm, to, e, lookup), ("copy_ctx", frm, to, e))
+        source = ("copy_ctx", frm, to, e)
+        _copy_emissions(program, frm, to, e, lookup, check)
     return True

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import filecmp
+import gc
 import json
 import os
 import subprocess
@@ -10,11 +11,14 @@ import sys
 
 import pytest
 
+from schemeflow import cli
+from schemeflow.analysis import analyze
 from schemeflow.cli import main
+from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import OUTPUT_RELATIONS
 from schemeflow.termgen import VANHORN_TERM
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, config
 
 FACT_FILES = {
     "bool.facts",
@@ -324,6 +328,69 @@ class TestFailureModes:
             )
             assert proc.returncode == 1
             assert proc.stderr == "error: program nested too deeply\n"
+
+
+@pytest.fixture
+def restore_gc():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCycleCollector:
+    """``main`` runs each subcommand with the cycle collector off and
+    restores the caller's setting, whatever the exit code."""
+
+    @pytest.mark.parametrize("caller_enabled", [True, False], ids=["caller-on", "caller-off"])
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_caller_state_restored(
+        self, code, caller_enabled, tmp_path, program_file, monkeypatch, capsys, restore_gc
+    ):
+        argv = ["analyze", str(program_file), "--out", str(tmp_path / "x")]
+        if code == 1:
+            argv[1] = str(tmp_path / "missing.scm")
+        elif code == 2:
+            monkeypatch.setenv("SCHEMEFLOW_FACT_CEILING", "1")
+        elif code == 3:
+
+            def lossy(program, cfg):
+                result = run_fixpoint(program, cfg)
+                result.relations["state_a"].pop()
+                return result
+
+            monkeypatch.setattr(cli, "run_fixpoint", lossy)
+            argv = ["diff", str(program_file)]
+        during = []
+        real_read_program = cli.read_program
+
+        def read_program(*args, **kw):
+            during.append(gc.isenabled())
+            return real_read_program(*args, **kw)
+
+        monkeypatch.setattr(cli, "read_program", read_program)
+        if caller_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert main(argv) == code
+        assert gc.isenabled() is caller_enabled
+        # A missing file fails before the program is read.
+        assert during == ([] if code == 1 else [False])
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_runs_leave_no_cyclic_garbage(self, m, corpus_programs, restore_gc):
+        """Reference counting alone frees every run of either path."""
+        gc.collect()
+        gc.disable()
+        for name, program in corpus_programs.items():
+            analyze(program, config(m=m))
+            assert gc.collect() == 0, f"analyze {name}"
+            run_fixpoint(program, config(m=m))
+            assert gc.collect() == 0, f"run_fixpoint {name}"
 
 
 class TestEntryPoints:

@@ -13,6 +13,7 @@ from schemeflow.analysis import analyze
 from schemeflow.frontend import read_program
 from schemeflow.machine import recheck, run_fixpoint
 from schemeflow.serialize import OUTPUT_RELATIONS, relation_text
+from schemeflow.terms import EMPTY_CONTEXT, KAddr, Number
 
 from conftest import CORPUS, config, corpus_ids
 
@@ -120,3 +121,38 @@ def test_agreement_on_fresh_source_text():
     right = run_fixpoint(program, cfg)
     for name in DERIVED_RELATIONS:
         assert left.relations[name] == right.relations[name]
+
+
+# ``set!`` inside a closure on a variable the closure captures; it evaluates
+# to 2.
+SET_IN_CLOSURE = "(let ((x 1)) (let ((f (lambda (y) (set! x 2)))) (let ((z (f 0))) x)))"
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        0,
+        pytest.param(
+            1,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason=(
+                    f"known soundness gap on {SET_IN_CLOSURE}: flat closures `copy` x into"
+                    " the closure's entry context, so the set! writes the copy and the"
+                    " outer x never reads (Number 2)"
+                ),
+            ),
+        ),
+    ],
+)
+def test_assignment_in_a_closure_reaches_the_result(m):
+    """Both paths agree, and each must find the value 2 at the root
+    continuation; at m >= 1 neither does (a known gap, not yet fixed)."""
+    program = read_program(SET_IN_CLOSURE)
+    cfg = config(m=m)
+    left = analyze(program, cfg)
+    right = run_fixpoint(program, cfg)
+    for name in DERIVED_RELATIONS:
+        assert left.relations[name] == right.relations[name]
+    final = (Number(2), KAddr(program.root, EMPTY_CONTEXT))
+    assert final in left.relations["state_a"]

@@ -9,7 +9,7 @@ import pytest
 
 from schemeflow.analysis import AnalysisConfig, analyze
 from schemeflow.errors import FactCeilingExceeded, ValidationError
-from schemeflow.frontend import read_program
+from schemeflow.frontend import read_program, syntactic_free_vars
 from schemeflow.machine import Machine, _atomic_values, recheck, run_fixpoint
 from schemeflow.terms import (
     Bool,
@@ -26,7 +26,7 @@ from schemeflow.terms import (
     render,
 )
 
-from conftest import CORPUS_DIR, config
+from conftest import CORPUS_DIR, config, corpus_ids
 
 
 def L(n: int) -> Label:
@@ -48,6 +48,20 @@ def fire_one(machine: Machine, rel: str, row: tuple) -> set[tuple[str, tuple]]:
 
 def no_store(av):
     return ()
+
+
+def copies(program, relations):
+    """Every (x, frm, to, value) that copy_ctx(frm, to, e) implies: x free in
+    e and stored_val(VAddr(x, frm), value)."""
+    stored: dict = {}
+    for av, val in relations["stored_val"]:
+        stored.setdefault(av, []).append(val)
+    return [
+        (x, frm, to, val)
+        for frm, to, e in relations["copy_ctx"]
+        for x in syntactic_free_vars(program, e)
+        for val in stored.get(VAddr(x, frm), ())
+    ]
 
 
 class TestAtomicEval:
@@ -215,6 +229,55 @@ class TestOrderIndependence:
             assert machine.result().relations == baseline
 
 
+class CopyLog(Machine):
+    """A traced machine that credits each copy of a stored value into a
+    closure-entry context, keyed ``("x frm to", value)``, to the event that
+    made it.  A ``stored_val`` event copies its value to the contexts already
+    copied from (its ``copy`` trace lines); a ``copy_ctx`` event copies the
+    values already stored."""
+
+    def __init__(self, program, cfg) -> None:
+        super().__init__(program, cfg, trace=self.line)
+        self.event: tuple = ()
+        self.by_stored_val: Counter = Counter()
+        self.by_copy_ctx: Counter = Counter()
+
+    def line(self, text: str) -> None:
+        rule, cols = text.split("\t")
+        rel, row = self.event
+        if rule == "copy" and rel == "stored_val":
+            self.by_stored_val[cols, row[1]] += 1
+
+    def process(self, rel: str, row: tuple) -> None:
+        self.event = (rel, row)
+        if rel == "copy_ctx":
+            frm, to, e = row
+            for x in syntactic_free_vars(self.program, e):
+                for val in self.vstore.get(VAddr(x, frm), ()):
+                    self.by_copy_ctx[f"{x} {render(frm)} {render(to)}", val] += 1
+        super().process(rel, row)
+
+
+class TestCopyTargets:
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_each_stored_value_is_copied_once_per_target(self, m, corpus_programs):
+        """Every (x, frm, to, value) with copy_ctx(frm, to, e), x free in e and
+        stored_val(VAddr(x, frm), value) is copied exactly once, by one of the
+        two events; none other is."""
+        fired_by_stored_val = 0
+        for name in corpus_ids():
+            program = corpus_programs[name]
+            log = CopyLog(program, config(m=m))
+            relations = log.run().relations
+            expected = Counter(
+                (f"{x} {render(frm)} {render(to)}", val)
+                for x, frm, to, val in copies(program, relations)
+            )
+            assert log.by_stored_val + log.by_copy_ctx == expected, name
+            fired_by_stored_val += len(log.by_stored_val)
+        assert fired_by_stored_val > 0
+
+
 class TestRecheck:
     def test_fixpoint_passes(self):
         program = read_program(corpus("16_conflate_branches"))
@@ -222,11 +285,21 @@ class TestRecheck:
         result = run_fixpoint(program, cfg)
         assert recheck(program, cfg, result.relations) is True
 
-    def test_dropped_fact_detected(self):
-        program = read_program(corpus("16_conflate_branches"))
-        cfg = config(m=0)
-        result = run_fixpoint(program, cfg)
-        broken = {name: set(rows) for name, rows in result.relations.items()}
-        broken["state_a"].pop()
-        with pytest.raises(ValidationError):
-            recheck(program, cfg, broken)
+    @pytest.mark.parametrize("source", ["state_e", "state_a", "copy_ctx"])
+    def test_dropped_fact_detected(self, source):
+        """Drop a row that only one transition family re-derives; the error
+        names that family.  Only eval transitions emit flow_ee and only apply
+        transitions emit flow_ae.  At m=1, 17_vanhorn copies a closure into an
+        entry context that no binding writes."""
+        program = read_program(corpus("17_vanhorn"))
+        cfg = config(m=1)
+        relations = run_fixpoint(program, cfg).relations
+        if source == "copy_ctx":
+            rel = "stored_val"
+            rows = {(VAddr(x, to), val) for x, frm, to, val in copies(program, relations)}
+        else:
+            rel = {"state_e": "flow_ee", "state_a": "flow_ae"}[source]
+            rows = relations[rel]
+        relations[rel].remove(min(rows, key=lambda row: tuple(map(render, row))))
+        with pytest.raises(ValidationError, match=rf"^not a fixpoint: \('{source}', "):
+            recheck(program, cfg, relations)
