@@ -15,6 +15,7 @@ stdout as JSON (its duration field varies run to run).
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
 import sys
@@ -206,7 +207,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  Parsing leaves it as it was, and a
+    parser is a cycle of a few hundred objects that only the cycle
+    collector frees, which ``main`` keeps off."""
     parser = _Parser(prog="schemeflow", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -21,11 +21,26 @@ with the fewest new variables, then the earliest declared.  The columns
 ground on arrival are a step's index key.  Each plan is then compiled into
 one Python function: nested ``for`` loops over the delta, index lookups and
 relations, unpacking of struct patterns, ``continue`` on a mismatch, and
-calls that append each built head row to its relation's buffer.  The source
-text holds only generated names, so one text serves every plan of its
-shape.  A rule set keeps its compiled plans, with their constants,
-constructors and builders, per mode from its first run on; a run binds only
-its own relations, indexes and buffers to them.
+calls that append each built head row to its relation's buffer.  A builder
+call that the heads of a rule repeat is computed once per firing, into a
+variable.
+
+Semi-naive plans of one stratum whose first two steps match (the same delta
+relation, then the same index lookup, keyed on the same plain variables of
+the delta atom) compile to one function instead: one loop over the delta
+and one over the rows that the lookup finds, then each rule's own checks,
+loops, guards and heads as one block per rule, in rule order.  Until a
+rule's block opens a loop of its own, a mismatch there nests the rest of the
+block in an ``if`` rather than skipping, so it closes that block only and
+never the shared loops that later rules still read.  The analysis's eleven
+continuation-frame rules, which each join ``state_a`` to ``stored_kont`` on
+the continuation address, share one such pass; naive mode keeps one plan
+per rule as the reference.
+
+The source text holds only generated names, so one text serves every plan
+(or group) of its shape.  A rule set keeps its compiled joins, with their
+constants, constructors and builders, per mode from its first run on; a run
+binds only its own relations, indexes and buffers to them.
 
 A round runs its joins, then inserts each relation's buffer with whole-set
 operations: the new rows are the buffered rows minus the relation, the
@@ -38,6 +53,7 @@ operations alone.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 from dataclasses import dataclass, field
@@ -382,10 +398,10 @@ def _tuple(items: list[str]) -> str:
 
 
 class _Source:
-    """The source text of one plan's join, and the values its names stand for.
+    """The source text of one compiled join, and the values its names stand for.
 
-    The text holds only identifiers made here: ``v*`` rule variables, ``t*``
-    values still to check, and one parameter of ``make`` per entry of
+    The text holds only identifiers made here: ``v*`` rule variables and
+    builder values computed once, ``t*`` values still to check, and one parameter of ``make`` per entry of
     ``static`` (constants, constructors, builders) and of ``bound``
     (relations, indexes and head appenders, which each run binds from its
     own store).  So plans of the same shape share one text, and one
@@ -396,10 +412,14 @@ class _Source:
         self.static: dict[str, object] = {}
         self.bound: dict[str, _Binding] = {}
         self.var: dict[str, str] = {}  # rule variable -> identifier
+        self.calls: dict[tuple, str] = {}  # shape of a builder call -> its value's variable
         self.lines: list[str] = []
         self.depth = 2  # inside make and join; each loop adds one
         self.temps = 0
         self.pending: list[tuple[Pattern, str]] = []  # (pattern, temporary) to check
+        # Whether a mismatch opens a nested ``if`` instead of skipping: set
+        # while a rule's block sits in loops that other rules share.
+        self.nest = False
 
     def _next(self, prefix: str) -> str:
         return f"{prefix}{len(self.static) + len(self.bound)}"
@@ -414,11 +434,27 @@ class _Source:
         self.bound[name] = _Binding(kind, rel, cols)
         return name
 
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps - 1}"
+
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
-    def skip(self) -> str:
-        return "continue" if self.depth > 2 else "return"
+    def require(self, fails: str, holds: str) -> None:
+        """Go on with the candidate only if ``holds`` (the negation of
+        ``fails``): skip it, or, nested, open an ``if``."""
+        if self.nest:
+            self.line(f"if {holds}:")
+            self.depth += 1
+        else:
+            self.line(f"if {fails}: {'continue' if self.depth > 2 else 'return'}")
+
+    def loop(self, patterns: Sequence[Pattern], rows: str, known: Sequence[int] = ()) -> None:
+        self.line(f"for {self.targets(patterns, known)} in {rows}:")
+        self.depth += 1
+        self.nest = False  # a skip now continues this rule's own loop
+        self.unpacked()
 
     def build(self, p: Pattern) -> str:
         """An expression for the value of the ground pattern ``p``."""
@@ -429,6 +465,9 @@ class _Source:
         if isinstance(p, PStruct):
             return f"{self.name('C', TERM_TYPES[p.tag])}({', '.join(map(self.build, p.fields))})"
         if isinstance(p, PApply):
+            shared = self.calls.get(_shape(p))
+            if shared is not None:
+                return shared
             return f"{self.name('F', p.fn)}({', '.join(map(self.build, p.fields))})"
         raise RuleError(f"cannot instantiate {p!r}")
 
@@ -444,10 +483,20 @@ class _Source:
             elif isinstance(p, PVar) and p.name not in self.var:
                 names.append(self.var.setdefault(p.name, f"v{len(self.var)}"))
             else:
-                names.append(f"t{self.temps}")
-                self.temps += 1
+                names.append(self.temp())
                 self.pending.append((p, names[-1]))
         return _tuple(names)
+
+    def alias(self, patterns: Sequence[Pattern], names: Sequence[str]) -> None:
+        """Match ``patterns`` against values already unpacked into ``names``
+        (``_`` for a value known to match), as ``targets`` would."""
+        for p, name in zip(patterns, names):
+            if name == "_" or isinstance(p, PWild):
+                continue
+            if isinstance(p, PVar) and p.name not in self.var:
+                self.var[p.name] = name
+            else:
+                self.pending.append((p, name))
 
     def unpacked(self) -> None:
         pending, self.pending = self.pending, []
@@ -455,20 +504,83 @@ class _Source:
             self.match(p, t)
 
     def match(self, p: Pattern, t: str) -> None:
-        """Skip the candidate unless the value ``t`` matches ``p``."""
+        """Go on with the candidate only if the value ``t`` matches ``p``."""
         if isinstance(p, PVar):
-            self.line(f"if {t} != {self.var[p.name]}: {self.skip()}")
+            self.require(f"{t} != {self.var[p.name]}", f"{t} == {self.var[p.name]}")
         elif isinstance(p, PConst):
-            self.line(f"if {t} != {self.name('K', p.value)}: {self.skip()}")
+            k = self.name("K", p.value)
+            self.require(f"{t} != {k}", f"{t} == {k}")
         elif isinstance(p, PStruct):
             cls = self.name("C", TERM_TYPES[p.tag])
             n = len(p.fields)
-            self.line(f"if type({t}) is not {cls} or len({t}.args) != {n}: {self.skip()}")
+            self.require(
+                f"type({t}) is not {cls} or len({t}.args) != {n}",
+                f"type({t}) is {cls} and len({t}.args) == {n}",
+            )
             if n:
                 self.line(f"{self.targets(p.fields)} = {t}.args")
                 self.unpacked()
         else:
             raise RuleError(f"pattern {p!r} not allowed in body")
+
+    def rule(self, r: Rule, steps: Sequence[_Step]) -> None:
+        """The join of ``steps``, then ``r``'s guards and heads.  A builder
+        call that the heads repeat is computed once per firing."""
+        for rel, key_cols, patterns in steps:
+            if not key_cols:
+                self.loop(patterns, self.bound_name("R", rel))
+            elif len(key_cols) == len(patterns):
+                # Every column is fixed: a membership test.
+                row = _tuple([self.build(p) for p in patterns])
+                rows = self.bound_name("R", rel)
+                self.require(f"{row} not in {rows}", f"{row} in {rows}")
+            else:
+                cols = [self.build(patterns[c]) for c in key_cols]
+                key = cols[0] if len(cols) == 1 else _tuple(cols)
+                self.loop(patterns, f"{self.bound_name('I', rel, key_cols)}.get({key}, ())", key_cols)
+        for g in r.guards:
+            test = self.build(g)
+            self.require(f"not {test}", test)
+        calls: list[tuple[tuple, PApply]] = []
+        for h in r.heads:
+            for p in h.patterns:
+                _builder_calls(p, calls)
+        counts = collections.Counter(shape for shape, _ in calls)
+        for shape, p in calls:
+            if counts[shape] > 1 and shape not in self.calls:
+                value = self.build(p)
+                self.calls[shape] = f"v{len(self.var) + len(self.calls)}"
+                self.line(f"{self.calls[shape]} = {value}")
+        for h in r.heads:
+            row = _tuple([self.build(p) for p in h.patterns])
+            self.line(f"{self.bound_name('O', h.rel)}({row})")
+
+    def join(self, delta_rel: str | None) -> _Join:
+        params = ", ".join([*self.static, *self.bound])
+        text = "\n".join([f"def make({params}):", "    def join(delta):", *self.lines, "    return join"])
+        return _Join(delta_rel, _make_function(text), tuple(self.static.values()), tuple(self.bound.values()))
+
+
+def _shape(p: Pattern) -> tuple:
+    """A key equal for equal patterns (a builder by identity)."""
+    if isinstance(p, PVar):
+        return ("v", p.name)
+    if isinstance(p, PConst):
+        return ("k", type(p.value), p.value)
+    if isinstance(p, PStruct):
+        return ("s", p.tag, *map(_shape, p.fields))
+    if isinstance(p, PApply):
+        return ("a", p.fn, *map(_shape, p.fields))
+    return ("_",)
+
+
+def _builder_calls(p: Pattern, out: list[tuple[tuple, PApply]]) -> None:
+    """Append each builder call in ``p`` with its shape, inner calls first."""
+    if isinstance(p, (PStruct, PApply)):
+        for f in p.fields:
+            _builder_calls(f, out)
+    if isinstance(p, PApply):
+        out.append((_shape(p), p))
 
 
 class _Binding(NamedTuple):
@@ -482,10 +594,11 @@ class _Binding(NamedTuple):
 
 
 class _Join(NamedTuple):
-    """One compiled plan: ``make(*static, *bound values)`` returns
-    ``join(delta)``, which appends each row the rule derives to the buffer
-    of its head relation.  ``delta_rel`` names the relation whose new rows
-    ``delta`` holds, or is None for a join over whole relations."""
+    """One compiled join of one plan or a group of them: ``make(*static,
+    *bound values)`` returns ``join(delta)``, which appends each row the
+    rules derive to the buffer of its head relation.  ``delta_rel`` names
+    the relation whose new rows ``delta`` holds, or is None for a join over
+    whole relations."""
 
     delta_rel: str | None
     make: Callable
@@ -504,41 +617,61 @@ class _Join(NamedTuple):
         return self.make(*self.static, *values)
 
 
-def _compile(r: Rule, first: int | None) -> _Join:
-    """Plan ``r`` with the delta atom ``first`` (None: no delta) and
-    compile the plan."""
-    steps = _plan(r, first)
+def _prefix(steps: Sequence[_Step]) -> tuple | None:
+    """What a delta plan shares with the plans it can run in one pass with:
+    its delta relation, and a second step that looks up an index keyed on
+    plain variables of the delta atom, with the delta columns they come
+    from.  None for a plan whose second step is not such a lookup."""
+    if len(steps) < 2:
+        return None
+    delta, (rel, key_cols, patterns) = steps[0], steps[1]
+    if not key_cols or len(key_cols) == len(patterns):
+        return None
+    names = [q.name if isinstance(q, PVar) else None for q in delta.patterns]
+    at = []
+    for c in key_cols:
+        p = patterns[c]
+        if not isinstance(p, PVar) or p.name not in names:
+            return None
+        at.append(names.index(p.name))
+    return (delta.rel, rel, key_cols, tuple(at))
+
+
+def _compile(plans: Sequence[tuple[Rule, list[_Step]]], delta: bool) -> _Join:
+    """Compile ``plans`` into one join: over the new rows of their first
+    step's relation, or (``delta`` false) over whole relations.  Several
+    plans must share a prefix (see ``_prefix``): one loop over the delta and
+    one over the rows its index lookup finds hold each rule's own checks,
+    loops, guards and heads, one block per rule in order.  A mismatch there
+    nests, so it closes only its own rule's block."""
     src = _Source()
-    for k, (rel, key_cols, patterns) in enumerate(steps):
-        if k == 0 and first is not None:
-            rows = "delta"
-        elif not key_cols:
-            rows = src.bound_name("R", rel)
-        elif len(key_cols) == len(patterns):
-            # Every column is fixed: a membership test.
-            row = _tuple([src.build(p) for p in patterns])
-            src.line(f"if {row} not in {src.bound_name('R', rel)}: {src.skip()}")
-            continue
-        else:
-            cols = [src.build(patterns[c]) for c in key_cols]
-            key = cols[0] if len(cols) == 1 else _tuple(cols)
-            rows = f"{src.bound_name('I', rel, key_cols)}.get({key}, ())"
-        src.line(f"for {src.targets(patterns, key_cols)} in {rows}:")
-        src.depth += 1
+    (r, steps), *rest = plans
+    if not delta:
+        src.rule(r, steps)
+        return src.join(None)
+    if not rest:
+        src.loop(steps[0].patterns, "delta")
+        src.rule(r, steps[1:])
+        return src.join(steps[0].rel)
+    delta_rel, rel, key_cols, at = _prefix(steps)
+    cols = [src.temp() for _ in steps[0].patterns]
+    src.line(f"for {_tuple(cols)} in delta:")
+    key = _tuple([cols[j] for j in at]) if len(at) > 1 else cols[at[0]]
+    found = ["_" if c in key_cols else src.temp() for c in range(len(steps[1].patterns))]
+    src.depth += 1
+    src.line(f"for {_tuple(found)} in {src.bound_name('I', rel, key_cols)}.get({key}, ()):")
+    src.depth += 1
+    shared = src.depth
+    for r, steps in plans:
+        src.depth, src.var, src.calls, src.nest = shared, {}, {}, True
+        src.alias(steps[0].patterns, cols)
+        src.alias(steps[1].patterns, found)
         src.unpacked()
-    for g in r.guards:
-        src.line(f"if not {src.build(g)}: {src.skip()}")
-    for h in r.heads:
-        row = _tuple([src.build(p) for p in h.patterns])
-        src.line(f"{src.bound_name('O', h.rel)}({row})")
-    text = "\n".join(
-        [f"def make({', '.join([*src.static, *src.bound])}):", "    def join(delta):", *src.lines, "    return join"]
-    )
-    delta_rel = None if first is None else r.body[first].rel
-    return _Join(delta_rel, _make_function(text), tuple(src.static.values()), tuple(src.bound.values()))
+        src.rule(r, steps[2:])
+    return src.join(delta_rel)
 
 
-# The analysis rule sets compile to 76 distinct texts over m=0..2, both
+# The analysis rule sets compile to 52 distinct texts over m=0..2, both
 # truthiness modes, semi-naive and naive; the memo holds them all with room
 # to spare (tests/test_engine.py checks that it never evicts).
 @functools.lru_cache(maxsize=256)
@@ -559,7 +692,8 @@ class _Stratum(NamedTuple):
     """The compiled joins of one stratum's rules.  ``once`` (semi-naive
     only) holds the rules with no body atom in the stratum, which cannot
     re-fire once the lower strata are fixed; ``joins`` holds, semi-naive,
-    one plan per body atom in the stratum, and naive one plan per rule."""
+    one join per group of plans with a shared prefix, over all the plans
+    with one per body atom in the stratum, and naive one plan per rule."""
 
     rels: tuple[str, ...]
     heads: tuple[str, ...]  # the relations its rules derive
@@ -579,14 +713,20 @@ def _program(rs: RuleSet, naive: bool) -> list[_Stratum]:
         if not rules:
             continue
         once, joins = [], []
+        # Delta plans with the same prefix (see ``_prefix``) compile to one
+        # join, where the first of them stands.
+        groups: dict[object, list[tuple[Rule, list[_Step]]]] = {}
         for r in rules:
             firsts = [i for i, a in enumerate(r.body) if a.rel in scc]
             if naive:
-                joins.append(_compile(r, None))
+                joins.append(_compile([(r, _plan(r, None))], False))
             elif firsts:
-                joins.extend(_compile(r, i) for i in firsts)
+                for i in firsts:
+                    steps = _plan(r, i)
+                    groups.setdefault(_prefix(steps) or object(), []).append((r, steps))
             else:
-                once.append(_compile(r, None))
+                once.append(_compile([(r, _plan(r, None))], False))
+        joins.extend(_compile(plans, True) for plans in groups.values())
         heads = tuple(dict.fromkeys(h.rel for r in rules for h in r.heads))
         program.append(_Stratum(tuple(scc), heads, tuple(once), tuple(joins)))
     rs.compiled[naive] = program

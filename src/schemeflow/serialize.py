@@ -116,4 +116,16 @@ class RunReport:
     duration_ms: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, indent=2) + "\n"
+        return _indented_json(self.__dict__, "") + "\n"
+
+
+def _indented_json(value: object, indent: str) -> str:
+    """Exactly ``json.dumps(value, sort_keys=True, indent=2)`` for a dict
+    of scalars and such dicts, nested at ``indent``.  With ``indent`` set,
+    ``json.dumps`` uses a pure-Python encoder whose closures leave cyclic
+    garbage behind every call; each scalar here goes through the C one."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    inner = indent + "  "
+    members = [f"{inner}{json.dumps(k)}: {_indented_json(value[k], inner)}" for k in sorted(value)]
+    return "{\n" + ",\n".join(members) + "\n" + indent + "}"

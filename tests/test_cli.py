@@ -393,6 +393,20 @@ class TestCycleCollector:
             assert gc.collect() == 0, f"run_fixpoint {name}"
 
 
+    def test_a_cli_run_leaves_no_cyclic_garbage(self, tmp_path, program_file, capsys, restore_gc):
+        """Neither parsing the arguments nor writing the run report leaves
+        garbage for the collector: the parser is built once per process."""
+        argv = [str(program_file), "--out", str(tmp_path / "x")]
+        assert main(["analyze", *argv]) == 0  # builds the parser, if nothing did yet
+        gc.collect()
+        gc.disable()
+        for command in ("analyze", "oracle"):
+            for fmt in ("tsv", "json"):
+                assert main([command, *argv, "--format", fmt]) == 0
+                assert gc.collect() == 0, (command, fmt)
+        capsys.readouterr()
+
+
 class TestEntryPoints:
     def test_console_script(self):
         proc = subprocess.run(

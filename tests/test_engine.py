@@ -477,6 +477,95 @@ class TestCompiledPatterns:
                 assert re.fullmatch(r"[vtKCFRIO][0-9]+", name), (name, text)
 
 
+class TestSharedPrefix:
+    """Delta plans whose first two steps match run as one pass: one loop
+    over the delta, one index lookup, then each rule's block in order."""
+
+    RELATIONS = {"ev": 2, "frame": 2, "hit": 3}
+
+    def rules(self):
+        return [
+            # Rejects Number frames (struct) and VAddress(_, 1) (constant).
+            rule(
+                "addr",
+                [atom("hit", "addr", v.k, v.x)],
+                [atom("ev", v.val, v.k), atom("frame", v.k, T("VAddress", v.x, 0))],
+            ),
+            # Rejects Number(8) (guard) and every VAddress (struct).
+            rule(
+                "small",
+                [atom("hit", "small", v.k, v.n)],
+                [atom("ev", v.val, v.k), atom("frame", v.k, T("Number", v.n))],
+                [A(operator.lt, v.n, 5)],
+            ),
+            # A struct on the delta atom: accepts every frame of a Number.
+            rule(
+                "boxed",
+                [atom("hit", "boxed", v.n, v.f)],
+                [atom("ev", T("Number", v.n), v.k), atom("frame", v.k, v.f)],
+            ),
+            # Derives nothing, but ties hit to ev, so ev rows are a delta.
+            rule("echo", [atom("ev", v.b, v.a)], [atom("hit", "echo", v.a, v.b)]),
+        ]
+
+    def test_a_mismatch_in_one_rule_leaves_the_later_rules_their_rows(self):
+        a0, b1, c0 = VAddr("a", 0), VAddr("b", 1), VAddr("c", 0)
+        facts = {
+            "ev": {(Number(2), 1), (Bool("#t"), 1), (Number(9), 2)},
+            "frame": {(1, a0), (1, b1), (1, Number(3)), (1, Number(8)), (2, Number(4)), (2, c0)},
+        }
+        rs = build_ruleset(self.RELATIONS, self.rules())
+        (fused,) = [j for s in engine._program(rs, False) for j in s.joins if j.delta_rel == "ev"]
+        assert [b for b in fused.bindings if b.kind == "I"] == [("I", "frame", (0,))]
+        out = saturate_both_ways(self.RELATIONS, self.rules(), facts)
+        assert out.tuples("hit") == {
+            ("addr", 1, "a"),
+            ("addr", 2, "c"),
+            ("small", 1, 3),
+            ("small", 2, 4),
+            ("boxed", 2, a0),
+            ("boxed", 2, b1),
+            ("boxed", 2, Number(3)),
+            ("boxed", 2, Number(8)),
+            ("boxed", 9, Number(4)),
+            ("boxed", 9, c0),
+        }
+        assert out.tuples("ev") == facts["ev"]
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_frame_rules_share_one_pass_over_the_state_a_delta(self, m):
+        ruleset = build_analysis_ruleset(config(m=m))
+        frame_rules = [r for r in ruleset.rules if [a.rel for a in r.body[:2]] == ["state_a", "stored_kont"]]
+        assert len(frame_rules) == 11
+        joins = [j for s in engine._program(ruleset, False) for j in s.joins if j.delta_rel == "state_a"]
+        (fused,) = [j for j in joins if ("I", "stored_kont", (0,)) in j.bindings]
+        # One appender per head of each of the eleven rules.
+        assert sum(b.kind == "O" for b in fused.bindings) == sum(len(r.heads) for r in frame_rules)
+
+    @pytest.mark.parametrize("naive", [False, True])
+    def test_a_builder_repeated_across_heads_runs_once_per_firing(self, naive):
+        calls = []
+
+        def pair(x, y):
+            calls.append("pair")
+            return (x, y)
+
+        def neg(y):
+            calls.append("neg")
+            return -y
+
+        relations = {"edge": 2, "left": 1, "right": 2}
+        built = A(pair, v.x, A(neg, v.y))
+        rules = [rule("both", [atom("left", built), atom("right", v.x, built)], [atom("edge", v.x, v.y)])]
+        store = TupleStore(relations)
+        store.bulk_add("edge", {(1, 2), (3, 4)})
+        out, stats = saturate(build_ruleset(relations, rules), store, naive=naive)
+        assert out.tuples("left") == {((1, -2),), ((3, -4),)}
+        assert out.tuples("right") == {(1, (1, -2)), (3, (3, -4))}
+        firings = 2 * (stats.rounds if naive else 1)
+        assert sorted(calls) == ["neg"] * firings + ["pair"] * firings
+
+
 class TestNoPerRunState:
     def test_saturate_leaves_nothing_alive(self):
         def twice(n):

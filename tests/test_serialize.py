@@ -236,3 +236,20 @@ class TestRunReport:
         assert doc["m"] == 1
         assert doc["counts"] == {"state_e": 3}
         assert doc["engine"] == "seminaive"
+
+    @pytest.mark.parametrize(
+        "widen_depth, counts, program",
+        [(2, {"state_e": 3, "flow_aa": 0}, "x.scm"), (None, {}, 'λ dir/"q".scm')],
+    )
+    def test_text_is_that_of_the_indenting_encoder(self, widen_depth, counts, program):
+        report = RunReport(
+            mode="oracle",
+            program=program,
+            m=0,
+            widen_depth=widen_depth,
+            truthiness="appendix-exact",
+            engine="worklist",
+            counts=counts,
+            duration_ms=0.125,
+        )
+        assert report.to_json() == json.dumps(report.__dict__, sort_keys=True, indent=2) + "\n"
