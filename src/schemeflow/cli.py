@@ -166,10 +166,10 @@ def cmd_diff(args: argparse.Namespace) -> int:
         a, b = left.relations[name], right.relations[name]
         if a == b:
             continue
-        for row in sorted(a ^ b, key=render_row):
-            side = "engine-only" if row in a else "oracle-only"
-            print(f"{name}\t{side}\t" + "\t".join(render_row(row)))
-            return 3
+        row = min(a ^ b, key=render_row)
+        side = "engine-only" if row in a else "oracle-only"
+        print(f"{name}\t{side}\t" + "\t".join(render_row(row)))
+        return 3
     print(f"identical across {', '.join(relations)}")
     return 0
 

@@ -23,6 +23,18 @@ sorts after ``'\\t'``:
 
 This holds for identifiers with control characters below ``'\\t'`` too,
 which the reader accepts.
+
+The JSON document escapes each relation once: ``encode_basestring_ascii``
+runs over the relation's sorted lines joined by newlines, and the escaped
+tabs and newlines then become the separators of cells and rows.  That is
+exact because no cell contains a tab or a newline (the reader ends every
+identifier at either), so each ``\\t`` and ``\\n`` escape in the output
+stands for a separator, with one catch: an escaped backslash ``\\\\``
+followed by ``t`` or ``n`` also contains those two characters.  So every
+``\\\\`` is first swapped for a ``\\0`` placeholder, which cannot occur in the
+encoder's output (it escapes every control character).  After that each
+remaining backslash starts an escape, the two separator replacements
+cannot match inside another escape, and the placeholder is turned back.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 from schemeflow.errors import ValidationError
@@ -47,17 +60,40 @@ def render_row(row: tuple) -> tuple[str, ...]:
     return tuple(render(x) for x in row)
 
 
-def sorted_lines(rows) -> list[str]:
+def sorted_lines(rows, cell=render) -> list[str]:
     """Each row's rendered columns joined by tabs, sorted (see the module
-    docstring for why this is the order of the rendered tuples)."""
-    lines = ["\t".join(map(render, r)) for r in rows]
+    docstring for why this is the order of the rendered tuples).
+
+    Lines are built column by column, so no Python frame runs per row or
+    per cell.  ``cell`` renders one column value: :func:`render` takes any
+    value (EDB rows also hold raw strings and ints); the writers of result
+    relations, whose columns are all terms, read each term's text.  Each
+    column is read from the rows by index: transposing them with
+    ``zip(*rows)`` makes an iterator object per row, and that raised peak
+    memory."""
+    rows = tuple(rows)
+    if not rows:
+        return []
+    columns = [map(cell, map(itemgetter(i), rows)) for i in range(len(rows[0]))]
+    lines = list(map("\t".join, zip(*columns)))
     lines.sort()
     return lines
 
 
-def relation_text(rows) -> str:
-    lines = sorted_lines(rows)
+def relation_text(rows, lines_of=sorted_lines) -> str:
+    lines = lines_of(rows)
     return "\n".join(lines) + "\n" if lines else ""
+
+
+def _result_lines(rows) -> list[str]:
+    """``sorted_lines`` of a result relation, whose cells are all terms, each
+    read as the text fixed on it at interning.  A text too long to be fixed
+    there is None, so the join raises; then the relation is rendered cell by
+    cell, which builds and keeps those texts."""
+    try:
+        return sorted_lines(rows, attrgetter("_text"))
+    except TypeError:
+        return sorted_lines(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +105,22 @@ def result_json_text(relations: dict[str, set[tuple]]) -> str:
     """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for
     ``doc = {name: [[cell, ...] per sorted row] for name in OUTPUT_RELATIONS}``,
     written directly: with ``indent`` set, ``json.dumps`` leaves its C encoder
-    for a pure-Python one."""
+    for a pure-Python one.  Each relation is escaped once (see the module
+    docstring for why that is exact)."""
     members = []
     for name in sorted(OUTPUT_RELATIONS):
-        lines = sorted_lines(relations.get(name, set()))
-        if lines:
-            rows = [",\n      ".join(map(encode_basestring_ascii, line.split("\t"))) for line in lines]
-            body = "[\n    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]\n  ]"
+        rows = relations.get(name)
+        if rows:
+            # The sorted lines are held by no name, so they are freed before
+            # the escape and its copies are made: a lower peak memory.
+            cells = (
+                encode_basestring_ascii("\n".join(_result_lines(rows)))
+                .replace("\\\\", "\0")
+                .replace("\\t", '",\n      "')
+                .replace("\\n", '"\n    ],\n    [\n      "')
+                .replace("\0", "\\\\")
+            )
+            body = "[\n    [\n      " + cells + "\n    ]\n  ]"
         else:
             body = "[]"
         members.append(f"  {encode_basestring_ascii(name)}: {body}")
@@ -87,7 +132,8 @@ def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, fo
     out.mkdir(parents=True, exist_ok=True)
     if format == "tsv":
         for name in OUTPUT_RELATIONS:
-            (out / f"{name}.tsv").write_text(relation_text(relations.get(name, set())), encoding="utf-8")
+            rows = relations.get(name, set())
+            (out / f"{name}.tsv").write_text(relation_text(rows, _result_lines), encoding="utf-8")
     elif format == "json":
         (out / "result.json").write_text(result_json_text(relations), encoding="utf-8")
     else:

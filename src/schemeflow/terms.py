@@ -13,10 +13,17 @@ analysis rules and the ``... = frame.args`` unpacks of the machine.
 The canonical textual form of a term is an s-expression such as
 ``(Closure e4 (Context e7))``; see :func:`render`.
 
-Because a term is immutable and shared, two pure functions of it are
-memoized on the term itself: its rendered text is cached on first use, and
-a ``PrimVal``'s nesting depth is fixed when the term is interned.  Both live
-in slots on the term, so the memo is exactly as global as the intern pools.
+Because a term is immutable and shared, two pure functions of it are fixed
+on the term itself when it is interned: its rendered text, joined from its
+args' texts (args are interned first), and a ``PrimVal``'s nesting depth.
+Both live in slots on the term, so they are exactly as global as the intern
+pools, and reading them is one attribute access.
+
+A text longer than ``INTERNED_TEXT_MAX`` is built on the term's first render
+instead.  Without widening, a value chain can grow until the fact ceiling
+stops the run; texts fixed at interning would take memory quadratic in its
+depth, for a run that writes nothing.  At the default widen depth every
+text is far shorter.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ from typing import ClassVar
 
 # Registry of constructor tag -> class, used to rebuild terms generically.
 TERM_TYPES: dict[str, type["Term"]] = {}
+
+# Longest text fixed at interning (see the module docstring).
+INTERNED_TEXT_MAX = 256
 
 
 class Term:
@@ -35,10 +45,11 @@ class Term:
     with equal args was built before.  Equality and hashing are therefore
     the inherited identity semantics.
 
-    ``_text`` caches :func:`render`; ``_depth`` is the ``PrimVal`` nesting
-    depth (non-PrimVal terms are 0, each PrimVal adds 1), 0 here and a slot
-    filled at interning in ``PrimVal``.  Every subclass declares
-    ``__slots__``, so no term carries an instance dict.
+    ``_text`` is :func:`render` of the term, set at interning, or None until
+    the first render if it is longer than ``INTERNED_TEXT_MAX``; ``_depth``
+    is the ``PrimVal`` nesting depth (non-PrimVal terms are 0, each PrimVal
+    adds 1), 0 here and a slot filled at interning in ``PrimVal``.  Every
+    subclass declares ``__slots__``, so no term carries an instance dict.
     """
 
     __slots__ = ("args", "_text")
@@ -59,7 +70,7 @@ class Term:
         if term is None:
             term = object.__new__(cls)
             term.args = args
-            term._text = None
+            term._text = _interned_text(cls, args)
             term._interned()
             pool[args] = term
         return term
@@ -76,6 +87,49 @@ class Term:
 
     def __deepcopy__(self, memo):
         return self
+
+
+# ---------------------------------------------------------------------------
+# Canonical rendering
+# ---------------------------------------------------------------------------
+
+
+def render(x: object) -> str:
+    """Canonical textual form of a term or scalar column value.
+
+    Labels render bare (``e7``); every other term renders as a parenthesized
+    s-expression of its tag and rendered args, e.g. ``(Context e7 e3)`` or
+    ``(Closure e4 (Context e7))``.  Strings render as themselves and ints in
+    decimal, so the form is flat, readable, and totally ordered as text.
+
+    A term's text is fixed when the term is interned, so rendering a term
+    is one attribute read; a text too long for that is built here, from the
+    args' texts, and kept on the term.
+    """
+    if isinstance(x, Term):
+        text = x._text
+        if text is None:
+            text = x._text = f"({x.tag} {' '.join(map(render, x.args))})"
+        return text
+    if isinstance(x, bool):  # guard: bools are ints in Python
+        raise TypeError("raw Python bool is not a term column")
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, str):
+        return x
+    raise TypeError(f"cannot render {x!r}")
+
+
+def _interned_text(cls: type[Term], args: tuple) -> str | None:
+    """The text of a term being interned, joined from its args' texts; None
+    when an arg has none yet or the text is longer than ``INTERNED_TEXT_MAX``."""
+    if cls is Label:
+        return args[0]
+    texts = [a._text if isinstance(a, Term) else render(a) for a in args]
+    if None in texts:
+        return None
+    text = f"({' '.join([cls.tag, *texts])})"
+    return text if len(text) <= INTERNED_TEXT_MAX else None
 
 
 class Label(Term):
@@ -246,39 +300,3 @@ def widen_value(v: Term, depth_limit: int | None) -> Term:
     if v._depth <= depth_limit:
         return v
     return _cut(v, depth_limit)
-
-
-# ---------------------------------------------------------------------------
-# Canonical rendering
-# ---------------------------------------------------------------------------
-
-
-def render(x: object) -> str:
-    """Canonical textual form of a term or scalar column value.
-
-    Labels render bare (``e7``); every other term renders as a parenthesized
-    s-expression of its tag and rendered args, e.g. ``(Context e7 e3)`` or
-    ``(Closure e4 (Context e7))``.  Strings render as themselves and ints in
-    decimal, so the form is flat, readable, and totally ordered as text.
-
-    A term's text is built once, from its children's cached text, and kept
-    on the term: rendering a term seen before is one attribute read.
-    """
-    if isinstance(x, Term):
-        text = x._text
-        if text is None:
-            if isinstance(x, Label):
-                text = x.args[0]
-            elif not x.args:
-                text = f"({x.tag})"
-            else:
-                text = f"({x.tag} {' '.join(map(render, x.args))})"
-            x._text = text
-        return text
-    if isinstance(x, bool):  # guard: bools are ints in Python
-        raise TypeError("raw Python bool is not a term column")
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, str):
-        return x
-    raise TypeError(f"cannot render {x!r}")

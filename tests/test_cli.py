@@ -15,8 +15,9 @@ from schemeflow import cli
 from schemeflow.analysis import analyze
 from schemeflow.cli import main
 from schemeflow.machine import run_fixpoint
-from schemeflow.serialize import OUTPUT_RELATIONS
-from schemeflow.termgen import VANHORN_TERM
+from schemeflow.serialize import OUTPUT_RELATIONS, render_row
+from schemeflow.termgen import VANHORN_TERM, GenSpec, gen_mcfa_worst
+from schemeflow.terms import EMPTY_CONTEXT, KAddr, Label
 
 from conftest import CORPUS_DIR, config
 
@@ -220,6 +221,32 @@ class TestDiff:
             "identical across state_e, state_a, stored_val, stored_kont,"
             " flow_aa, flow_ae, flow_ea, flow_ee\n"
         )
+
+    @pytest.mark.parametrize("oracle_extra", [False, True], ids=["engine-only", "oracle-only"])
+    def test_mismatch_prints_the_first_differing_row(self, oracle_extra, tmp_path, monkeypatch, capsys):
+        program = tmp_path / "mcfa.scm"
+        program.write_text(gen_mcfa_worst(GenSpec(16, 1, 2)))
+        extra = (Label("a0"), EMPTY_CONTEXT, KAddr(Label("a0"), EMPTY_CONTEXT))
+        lines = []
+
+        def lossy(program, cfg):
+            result = run_fixpoint(program, cfg)
+            rows = sorted(result.relations["state_e"], key=render_row)
+            lines.extend("\t".join(render_row(r)) for r in rows)
+            # The oracle loses every second row; the first one lost is rows[1].
+            result.relations["state_e"].difference_update(rows[1::2])
+            if oracle_extra:
+                result.relations["state_e"].add(extra)
+            return result
+
+        monkeypatch.setattr(cli, "run_fixpoint", lossy)
+        assert main(["diff", str(program), "--m", "3"]) == 3
+        assert len(lines) > 100
+        if oracle_extra:
+            expect = "state_e\toracle-only\ta0\t(Context)\t(KAddress a0 (Context))"
+        else:
+            expect = f"state_e\tengine-only\t{lines[1]}"
+        assert capsys.readouterr().out == expect + "\n"
 
 
 class TestGenTermAndBench:

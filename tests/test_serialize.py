@@ -3,16 +3,18 @@
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from schemeflow.errors import ValidationError
+from schemeflow.errors import FactCeilingExceeded, ValidationError
 from schemeflow.frontend import extract_facts
 from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import (
     OUTPUT_RELATIONS,
     RunReport,
+    _result_lines,
     relation_text,
     render_row,
     result_json_text,
@@ -27,6 +29,7 @@ from schemeflow.terms import (
     Context,
     EMPTY_CONTEXT,
     FnK,
+    INTERNED_TEXT_MAX,
     IfK,
     KAddr,
     KontRef,
@@ -40,8 +43,11 @@ from schemeflow.terms import (
     PrimVal,
     SetK,
     TERM_TYPES,
+    Term,
     VAddr,
+    make_context,
     render,
+    widen_value,
 )
 
 from conftest import config
@@ -108,10 +114,13 @@ def reference_json_text(relations) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-# Identifiers hold no whitespace, parentheses or '~' of their own (the
-# reader's rules); these also need JSON escapes, sort below '\t', or are
-# prefixes of one another.
+# Identifiers hold no space, tab, CR, newline, parentheses or '~' of their
+# own (the reader's rules); these also need JSON escapes, sort below '\t',
+# or are prefixes of one another.  The backslashes, the literal escape texts
+# and the control characters the reader accepts test the escape-once JSON
+# writer: a backslash before a 't' or 'n' must not read as a separator.
 NAMES = ["x", "x~1", "x~12", "λ~3", "a\\b", "a\\tb", 'q"', "c\x01", "c\x01~2", "\x00~1"]
+NAMES += ["a\\", "a\\nb", "a\\\\tb", "\\u0009", "\x0b", "\x1f"]
 names = st.one_of(
     st.sampled_from(NAMES),
     st.builds(
@@ -140,6 +149,79 @@ relation_sets = st.dictionaries(st.sampled_from(OUTPUT_RELATIONS), relation, max
 PREFIX_ROWS = {(VAddr(x, EMPTY_CONTEXT), Label(f"e{i}")) for x in NAMES for i in (1, 12)}
 
 
+def reference_text(x) -> str:
+    """The canonical form, computed from the term's structure alone."""
+    if isinstance(x, Label):
+        return x.args[0]
+    if isinstance(x, Term):
+        return "(" + " ".join([x.tag, *map(reference_text, x.args)]) + ")"
+    return str(x)
+
+
+def subterms(x):
+    if isinstance(x, Term):
+        yield x
+        for arg in x.args:
+            yield from subterms(arg)
+
+
+class TestTermText:
+    """Each term's text is fixed when it is interned, whichever way it was
+    built: by a constructor, by widening, or by context allocation.  Only a
+    text longer than ``INTERNED_TEXT_MAX`` waits for the term's first render."""
+
+    @given(columns, labels, contexts, st.integers(0, 3), st.integers(1, 3))
+    def test_text_is_the_reference_rendering(self, term, label, ctx, m, limit):
+        for built in (term, widen_value(term, limit), make_context(label, ctx, m)):
+            for sub in subterms(built):
+                assert sub._text == reference_text(sub)
+
+    def test_every_interned_term_has_its_text_unless_too_long(self):
+        # One level per term, so by induction over the args, which were
+        # interned first: a text is None only when the reference text is too
+        # long, and then until a render builds it.  Rendering such terms here
+        # could take memory quadratic in their depth.
+        for cls in TERM_TYPES.values():
+            for term in cls._pool.values():
+                if cls is Label:
+                    assert term._text == term.args[0]
+                    continue
+                texts = [a._text if isinstance(a, Term) else render(a) for a in term.args]
+                if None in texts:
+                    assert term._text is None
+                    continue
+                text = "(" + " ".join([term.tag, *texts]) + ")"
+                assert term._text == text or (term._text is None and len(text) > INTERNED_TEXT_MAX)
+
+    @pytest.mark.parametrize("fmt, leaf", [("tsv", -701), ("json", -702)])
+    def test_a_long_text_is_built_on_first_render(self, fmt, leaf, tmp_path):
+        # Terms of their own, so that no earlier render built their texts.
+        name = f"{fmt}~" + "9" * INTERNED_TEXT_MAX
+        value = Number(leaf)
+        for _ in range(INTERNED_TEXT_MAX // 10):
+            value = PrimVal("+", value, Number(2))
+        relations = {"flow_ae": {(VAddr(name, CTX1), e1)}, "state_a": {(value, AK)}}
+        long_terms = [VAddr(name, CTX1), value]
+        assert [term._text for term in long_terms] == [None, None]
+        write_result_dir(relations, tmp_path, format=fmt)
+        if fmt == "json":
+            assert (tmp_path / "result.json").read_text() == reference_json_text(relations)
+        else:
+            for rel, rows in relations.items():
+                assert (tmp_path / f"{rel}.tsv").read_text() == reference_relation_text(rows)
+        assert [term._text for term in long_terms] == list(map(reference_text, long_terms))
+
+    def test_a_run_stopped_at_the_ceiling_fixes_no_long_text(self, corpus_programs):
+        cfg = config(widen_depth=None, primval_truthiness="appendix-exact", fact_ceiling=30_000)
+        with pytest.raises(FactCeilingExceeded):
+            run_fixpoint(corpus_programs["18_loop_widen"], cfg)
+        value = max(PrimVal._pool.values(), key=attrgetter("_depth"))
+        assert value._depth > 1000
+        while value._depth > INTERNED_TEXT_MAX // 10:
+            assert value._text is None
+            value = max(value.args[1:], key=attrgetter("_depth"))
+
+
 class TestSorting:
     def test_sorted_lines_follow_the_rendered_tuple_order(self):
         rows = {(Number(i % 5), KAddr(Label(f"e{i}"), EMPTY_CONTEXT)) for i in range(20)}
@@ -159,6 +241,7 @@ class TestSorting:
     def test_writers_equal_the_tuple_sort_and_json_dumps(self, relations):
         for rows in relations.values():
             assert relation_text(rows) == reference_relation_text(rows)
+            assert relation_text(rows, _result_lines) == reference_relation_text(rows)
         assert result_json_text(relations) == reference_json_text(relations)
 
     def test_corpus_outputs_equal_the_reference_writers(self, corpus_programs):
