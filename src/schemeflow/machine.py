@@ -6,13 +6,20 @@ address⟩ or ⟨value, continuation address⟩, and the value/continuation
 stores are global join-semilattices.  Every transition mirrors one
 deductive rule of the analysis module head-for-head (flow edges included),
 so for any program and configuration the two paths must produce identical
-relation sets — that equality is the core differential test.  Each
-transition is one function that hands every fact it derives to an ``emit``
-callback: the machine's callback records the fact, and ``recheck``'s raises
-unless the fact is already present.
+relation sets — that equality is the core differential test.
+
+The transitions are two tables of plain functions: ``_EVAL`` maps each node
+class to its eval transition and ``_APPLY`` maps each continuation-frame
+class to its apply transition; inert nodes and the halt frame map to a
+no-op.  A transition reads the program, the configuration and the value
+store from its first argument and hands every fact it derives to that
+argument's ``emit``: the machine's records the fact, and ``recheck``'s
+raises unless the fact is already present, so each transition is defined
+once for both.
 
 The driver is event-based: each newly added fact (state, store entry, or
-context copy) is processed exactly once, and processing joins it against
+context copy) is processed exactly once, by the handler that
+``Machine.HANDLERS`` keys by its relation, and processing joins it against
 the facts already processed, so every rule instance fires exactly once no
 matter the order.  The final relation sets are order-independent because
 each emission depends only on the joined pair, never on driver state.
@@ -20,8 +27,9 @@ each emission depends only on the joined pair, never on driver state.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from typing import Callable
+from typing import Callable, ClassVar
 
 from schemeflow.analysis import AnalysisConfig, AnalysisResult, IDB_SCHEMA
 from schemeflow.errors import FactCeilingExceeded, ValidationError
@@ -29,12 +37,16 @@ from schemeflow.frontend import (
     BoolNode,
     CallNode,
     CallccNode,
+    DatumNode,
     IfNode,
     LabeledProgram,
     LambdaNode,
     LetNode,
+    ListMarkerNode,
     NumNode,
     PrimCallNode,
+    PrimOpNode,
+    QuoteNode,
     SetNode,
     VarNode,
     extract_facts,
@@ -53,6 +65,7 @@ from schemeflow.terms import (
     KontRef,
     Label,
     LetK,
+    MT,
     MT_FRAME,
     Number,
     PrimVal,
@@ -67,13 +80,12 @@ from schemeflow.terms import (
 )
 
 # ---------------------------------------------------------------------------
-# Transition emissions (each derived fact goes to ``emit(relation, row)``)
+# Transitions (each derived fact goes to ``s.emit(relation, row)``)
 # ---------------------------------------------------------------------------
-
-Emit = Callable[[str, tuple], None]
-
-_ATOMIC = (NumNode, BoolNode, LambdaNode, VarNode)
-_CONTEXT_FORMS = (CallccNode, CallNode, LetNode, LambdaNode)
+#
+# The first argument ``s`` of every transition is a ``Machine`` or the
+# ``_Recheck`` of a finished result; a transition reads its ``program``,
+# ``cfg``, ``arg_lists``, ``lookup`` and ``emit``.
 
 
 def _arg_lists(program: LabeledProgram) -> dict[Label, tuple[tuple[int, Label], ...]]:
@@ -95,61 +107,84 @@ def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> l
     return list(lookup(VAddr(node.name, ctx)))  # a VarNode
 
 
-def _eval_emissions(
-    program: LabeledProgram,
-    cfg: AnalysisConfig,
-    e: Label,
-    ctx: Context,
-    ak: KAddr,
-    lookup,
-    emit: Emit,
-) -> None:
-    """Emit every fact the eval-state transition derives, current store given."""
-    node = program.nodes[e]
-    if isinstance(node, _CONTEXT_FORMS):
-        emit("peek_ctx", (e, ctx, make_context(e, ctx, cfg.m)))
-    if isinstance(node, _ATOMIC):
-        for val in _atomic_values(program, e, ctx, lookup):
-            emit("state_a", (val, ak))
-            emit("flow_ea", (e, val))
-        return
-    if isinstance(node, IfNode):
-        ka = KAddr(node.guard, ctx)
-        emit("state_e", (node.guard, ctx, ka))
-        emit("stored_kont", (ka, IfK(node.then, node.other, ctx, ak)))
-        emit("flow_ee", (e, node.guard))
-    elif isinstance(node, SetNode):
-        ka = KAddr(node.expr, ctx)
-        emit("state_e", (node.expr, ctx, ka))
-        emit("stored_kont", (ka, SetK(VAddr(node.target, ctx), ak)))
-        emit("flow_ee", (e, node.expr))
-    elif isinstance(node, CallccNode):
-        ectx = make_context(e, ctx, cfg.m)
-        ka = KAddr(node.expr, ctx)
-        emit("state_e", (node.expr, ctx, ka))
-        emit("stored_kont", (ka, CallccK(ectx, ak)))
-        emit("flow_ee", (e, node.expr))
-    elif isinstance(node, CallNode):
-        ectx = make_context(e, ctx, cfg.m)
-        ka = KAddr(node.func, ctx)
-        emit("state_e", (node.func, ctx, ka))
-        emit("stored_kont", (ka, ArgK(node.args_label, ctx, ectx, ak)))
-        emit("flow_ee", (e, node.func))
-    elif isinstance(node, LetNode):
-        ectx = make_context(e, ctx, cfg.m)
-        for renamed, bexpr in node.bindings:
-            ka = KAddr(bexpr, ctx)
-            emit("state_e", (bexpr, ctx, ka))
-            emit("stored_kont", (ka, LetK(VAddr(renamed, ectx), node.body, ectx, ak)))
-            emit("flow_ee", (e, bexpr))
-        emit("copy_ctx", (ctx, ectx, e))
-    elif isinstance(node, PrimCallNode):
-        ea0, ea1 = node.args
-        ka = KAddr(ea0, ctx)
-        emit("state_e", (ea0, ctx, ka))
-        emit("stored_kont", (ka, Prim1K(node.op_name, ea1, ctx, ak)))
-        emit("flow_ee", (e, ea0))
-    # Anything else (quoted data) is inert: no successors.
+def _peek(s, e: Label, ctx: Context) -> Context:
+    """Emit and return the context that the form at ``e`` allocates."""
+    ectx = make_context(e, ctx, s.cfg.m)
+    s.emit("peek_ctx", (e, ctx, ectx))
+    return ectx
+
+
+def _eval_sub(emit, e: Label, sub: Label, ctx: Context, frame: Term) -> None:
+    """Evaluate ``sub``, a sub-expression of ``e``, in ``ctx`` under ``frame``."""
+    ka = KAddr(sub, ctx)
+    emit("state_e", (sub, ctx, ka))
+    emit("stored_kont", (ka, frame))
+    emit("flow_ee", (e, sub))
+
+
+def _eval_atomic(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
+    emit = s.emit
+    for val in _atomic_values(s.program, e, ctx, s.lookup):
+        emit("state_a", (val, ak))
+        emit("flow_ea", (e, val))
+
+
+def _eval_lambda(s, node: LambdaNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    _peek(s, e, ctx)
+    _eval_atomic(s, node, e, ctx, ak)
+
+
+def _eval_if(s, node: IfNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    _eval_sub(s.emit, e, node.guard, ctx, IfK(node.then, node.other, ctx, ak))
+
+
+def _eval_set(s, node: SetNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    _eval_sub(s.emit, e, node.expr, ctx, SetK(VAddr(node.target, ctx), ak))
+
+
+def _eval_callcc(s, node: CallccNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    ectx = _peek(s, e, ctx)
+    _eval_sub(s.emit, e, node.expr, ctx, CallccK(ectx, ak))
+
+
+def _eval_call(s, node: CallNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    ectx = _peek(s, e, ctx)
+    _eval_sub(s.emit, e, node.func, ctx, ArgK(node.args_label, ctx, ectx, ak))
+
+
+def _eval_let(s, node: LetNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    ectx = _peek(s, e, ctx)
+    emit = s.emit
+    for renamed, bexpr in node.bindings:
+        _eval_sub(emit, e, bexpr, ctx, LetK(VAddr(renamed, ectx), node.body, ectx, ak))
+    emit("copy_ctx", (ctx, ectx, e))
+
+
+def _eval_prim(s, node: PrimCallNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    ea0, ea1 = node.args
+    _eval_sub(s.emit, e, ea0, ctx, Prim1K(node.op_name, ea1, ctx, ak))
+
+
+def _eval_inert(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
+    """Quoted data and auxiliary labels have no successors."""
+
+
+_EVAL = {
+    NumNode: _eval_atomic,
+    BoolNode: _eval_atomic,
+    VarNode: _eval_atomic,
+    LambdaNode: _eval_lambda,
+    IfNode: _eval_if,
+    SetNode: _eval_set,
+    CallccNode: _eval_callcc,
+    CallNode: _eval_call,
+    LetNode: _eval_let,
+    PrimCallNode: _eval_prim,
+    QuoteNode: _eval_inert,
+    DatumNode: _eval_inert,
+    PrimOpNode: _eval_inert,
+    ListMarkerNode: _eval_inert,
+}
 
 
 def _truthy(cfg: AnalysisConfig, val: Term) -> bool:
@@ -168,90 +203,117 @@ def _falsy(cfg: AnalysisConfig, val: Term) -> bool:
     return cfg.primval_truthiness == "both-branches"
 
 
-def _apply_emissions(
-    program: LabeledProgram,
-    cfg: AnalysisConfig,
-    arg_lists: dict[Label, tuple[tuple[int, Label], ...]],
-    val: Term,
-    ak: KAddr,
-    frame: Term,
-    emit: Emit,
-) -> None:
-    """Emit every fact derived from value ``val`` meeting ``frame`` at ``ak``."""
-    tag = frame.tag
-    if tag == "If":
-        et, ef, ctx_k, next_ak = frame.args
-        if _truthy(cfg, val):
-            emit("state_e", (et, ctx_k, next_ak))
-            emit("flow_ae", (Bool("#t"), et))
-        if _falsy(cfg, val):
-            emit("state_e", (ef, ctx_k, next_ak))
-            emit("flow_ae", (Bool("#f"), ef))
-    elif tag == "Callcc":
-        ectx, next_ak = frame.args
-        if val.tag == "Closure":
-            elam, ctx_clo = val.args
-            lam = program.nodes[elam]
-            if lam.params:
-                x = lam.params[0]
-                emit("state_e", (lam.body, ectx, next_ak))
-                emit("stored_val", (VAddr(x, ectx), KontRef(ak)))
-                emit("copy_ctx", (ctx_clo, ectx, elam))
-                emit("flow_ae", (val, lam.body))
-        elif val.tag == "Kont":
-            (bk,) = val.args
-            emit("state_a", (KontRef(ak), bk))
-            emit("flow_aa", (KontRef(bk), KontRef(ak)))
-    elif tag == "Set":
-        loc, next_ak = frame.args
-        emit("state_a", (Number(-42), next_ak))
-        emit("stored_val", (loc, val))
-        emit("flow_aa", (val, Number(-42)))
-    elif tag == "Arg":
-        eargs, ctx, ectx, next_ak = frame.args
-        for pos, earg in arg_lists.get(eargs, ()):
-            ka = KAddr(earg, ctx)
-            emit("state_e", (earg, ctx, ka))
-            emit("stored_kont", (ka, FnK(val, pos, ectx, next_ak)))
-            emit("flow_ae", (val, earg))
-    elif tag == "Fn":
-        fn, pos, ectx, next_ak = frame.args
-        if fn.tag == "Closure":
-            elam, ctx_clo = fn.args
-            lam = program.nodes[elam]
-            if pos < len(lam.params):
-                x = lam.params[pos]
-                emit("state_e", (lam.body, ectx, next_ak))
-                emit("stored_val", (VAddr(x, ectx), val))
-                emit("copy_ctx", (ctx_clo, ectx, elam))
-                emit("flow_ae", (val, lam.body))
-        elif fn.tag == "Kont" and pos == 0:
-            (ck,) = fn.args
-            emit("state_a", (val, ck))
-            emit("flow_aa", (val, val))
-    elif tag == "Let":
-        av, ebody, ctx, next_ak = frame.args
-        emit("state_e", (ebody, ctx, next_ak))
-        emit("stored_val", (av, val))
-        emit("flow_ae", (val, ebody))
-    elif tag == "Prim1":
-        op, ea1, ctx, next_ak = frame.args
-        ka = KAddr(ea1, ctx)
-        emit("state_e", (ea1, ctx, ka))
-        emit("stored_kont", (ka, Prim2K(op, val, next_ak)))
-        emit("flow_ae", (val, ea1))
-    elif tag == "Prim2":
-        op, v1, next_ak = frame.args
-        widened = widen_value(PrimVal(op, v1, val), cfg.widen_depth)
-        emit("state_a", (widened, next_ak))
-        emit("flow_aa", (val, widened))
-    # MT: the final address; values here are results, no successor.
+def _apply_if(s, val: Term, ak: KAddr, frame: IfK) -> None:
+    et, ef, ctx_k, next_ak = frame.args
+    emit = s.emit
+    if _truthy(s.cfg, val):
+        emit("state_e", (et, ctx_k, next_ak))
+        emit("flow_ae", (Bool("#t"), et))
+    if _falsy(s.cfg, val):
+        emit("state_e", (ef, ctx_k, next_ak))
+        emit("flow_ae", (Bool("#f"), ef))
 
 
-def _copy_emissions(
-    program: LabeledProgram, frm: Context, to: Context, e: Label, lookup, emit: Emit
-) -> None:
-    for fv in syntactic_free_vars(program, e):
+def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
+    ectx, next_ak = frame.args
+    emit = s.emit
+    if val.tag == "Closure":
+        elam, ctx_clo = val.args
+        lam = s.program.nodes[elam]
+        if lam.params:
+            x = lam.params[0]
+            emit("state_e", (lam.body, ectx, next_ak))
+            emit("stored_val", (VAddr(x, ectx), KontRef(ak)))
+            emit("copy_ctx", (ctx_clo, ectx, elam))
+            emit("flow_ae", (val, lam.body))
+    elif val.tag == "Kont":
+        (bk,) = val.args
+        emit("state_a", (KontRef(ak), bk))
+        emit("flow_aa", (KontRef(bk), KontRef(ak)))
+
+
+def _apply_set(s, val: Term, ak: KAddr, frame: SetK) -> None:
+    loc, next_ak = frame.args
+    emit = s.emit
+    emit("state_a", (Number(-42), next_ak))
+    emit("stored_val", (loc, val))
+    emit("flow_aa", (val, Number(-42)))
+
+
+def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
+    eargs, ctx, ectx, next_ak = frame.args
+    emit = s.emit
+    for pos, earg in s.arg_lists.get(eargs, ()):
+        ka = KAddr(earg, ctx)
+        emit("state_e", (earg, ctx, ka))
+        emit("stored_kont", (ka, FnK(val, pos, ectx, next_ak)))
+        emit("flow_ae", (val, earg))
+
+
+def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
+    fn, pos, ectx, next_ak = frame.args
+    emit = s.emit
+    if fn.tag == "Closure":
+        elam, ctx_clo = fn.args
+        lam = s.program.nodes[elam]
+        if pos < len(lam.params):
+            x = lam.params[pos]
+            emit("state_e", (lam.body, ectx, next_ak))
+            emit("stored_val", (VAddr(x, ectx), val))
+            emit("copy_ctx", (ctx_clo, ectx, elam))
+            emit("flow_ae", (val, lam.body))
+    elif fn.tag == "Kont" and pos == 0:
+        (ck,) = fn.args
+        emit("state_a", (val, ck))
+        emit("flow_aa", (val, val))
+
+
+def _apply_let(s, val: Term, ak: KAddr, frame: LetK) -> None:
+    av, ebody, ctx, next_ak = frame.args
+    emit = s.emit
+    emit("state_e", (ebody, ctx, next_ak))
+    emit("stored_val", (av, val))
+    emit("flow_ae", (val, ebody))
+
+
+def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
+    op, ea1, ctx, next_ak = frame.args
+    emit = s.emit
+    ka = KAddr(ea1, ctx)
+    emit("state_e", (ea1, ctx, ka))
+    emit("stored_kont", (ka, Prim2K(op, val, next_ak)))
+    emit("flow_ae", (val, ea1))
+
+
+def _apply_prim2(s, val: Term, ak: KAddr, frame: Prim2K) -> None:
+    op, v1, next_ak = frame.args
+    widened = widen_value(PrimVal(op, v1, val), s.cfg.widen_depth)
+    emit = s.emit
+    emit("state_a", (widened, next_ak))
+    emit("flow_aa", (val, widened))
+
+
+def _apply_halt(s, val: Term, ak: KAddr, frame: MT) -> None:
+    """The final address: values here are results, with no successor."""
+
+
+_APPLY = {
+    IfK: _apply_if,
+    CallccK: _apply_callcc,
+    SetK: _apply_set,
+    ArgK: _apply_arg,
+    FnK: _apply_fn,
+    LetK: _apply_let,
+    Prim1K: _apply_prim1,
+    Prim2K: _apply_prim2,
+    MT: _apply_halt,
+}
+
+
+def _copy(s, frm: Context, to: Context, e: Label) -> None:
+    emit = s.emit
+    lookup = s.lookup
+    for fv in syntactic_free_vars(s.program, e):
         for val in lookup(VAddr(fv, frm)):
             emit("stored_val", (VAddr(fv, to), val))
 
@@ -292,9 +354,91 @@ def _apply_rule_name(val: Term, frame: Term) -> str:
     return {"Arg": "a-arg", "Let": "a-let", "Prim1": "a-prim1", "Prim2": "a-prim2"}[tag]
 
 
+# The event handlers.  A handler joins its new fact against the facts of
+# the events processed before it.  The transitions it calls only queue facts
+# through ``emit``, and a store entry grows only in its own relation's
+# handler, so a handler iterates the entries it reads without copying them.
+# Each handler tests ``m.trace`` once per event; the traced branch names
+# each rule instance before firing it.
+
+
+def _on_state_e(m: "Machine", row: tuple) -> None:
+    e, ctx, ak = row
+    node = m.program.nodes[e]
+    if m.trace is not None:
+        m._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
+    if isinstance(node, VarNode):
+        m.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
+    _EVAL[type(node)](m, node, e, ctx, ak)
+
+
+def _on_state_a(m: "Machine", row: tuple) -> None:
+    val, ak = row
+    # Join the new value against already-processed frames only; the
+    # reverse direction happens when those frames are processed.
+    frames = m.kstore.get(ak, ())
+    if m.trace is None:
+        for frame in frames:
+            _APPLY[type(frame)](m, val, ak, frame)
+    else:
+        for frame in frames:
+            m._t(_apply_rule_name(val, frame), val, ak, frame)
+            _APPLY[type(frame)](m, val, ak, frame)
+    m._avals.setdefault(ak, []).append(val)
+
+
+def _on_stored_kont(m: "Machine", row: tuple) -> None:
+    ak, frame = row
+    vals = m._avals.get(ak, ())
+    apply = _APPLY[type(frame)]
+    if m.trace is None:
+        for val in vals:
+            apply(m, val, ak, frame)
+    else:
+        for val in vals:
+            m._t(_apply_rule_name(val, frame), val, ak, frame)
+            apply(m, val, ak, frame)
+    m.kstore.setdefault(ak, {})[frame] = None
+
+
+def _on_stored_val(m: "Machine", row: tuple) -> None:
+    av, val = row
+    emit = m.emit
+    for e, ak in m.var_reads.get(av, ()):
+        if m.trace is not None:
+            m._t("e-ae", e, val)
+        emit("state_a", (val, ak))
+        emit("flow_ea", (e, val))
+    for dst in m.copy_to.get(av, ()):
+        if m.trace is not None:
+            m._t("copy", *av.args, dst.args[1])
+        emit("stored_val", (dst, val))
+    m.vstore.setdefault(av, {})[val] = None
+
+
+def _on_copy_ctx(m: "Machine", row: tuple) -> None:
+    frm, to, e = row
+    for x in syntactic_free_vars(m.program, e):
+        m.copy_to.setdefault(VAddr(x, frm), []).append(VAddr(x, to))
+    if m.trace is not None:
+        m._t("copy", frm, to, e)
+    _copy(m, frm, to, e)
+
+
 class Machine:
     """Event worklist: every new fact is joined against everything already
     processed, so each rule instance fires exactly once."""
+
+    # The handler of each event relation.  The table is the class's, not
+    # the instance's: a table of bound methods on the instance would be a
+    # reference cycle, left to the cycle collector.
+    HANDLERS: ClassVar[dict[str, Callable[["Machine", tuple], None]]] = {
+        "state_e": _on_state_e,
+        "state_a": _on_state_a,
+        "stored_kont": _on_stored_kont,
+        "stored_val": _on_stored_val,
+        "copy_ctx": _on_copy_ctx,
+    }
 
     def __init__(
         self,
@@ -305,6 +449,8 @@ class Machine:
         self.program = program
         self.cfg = cfg
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
+        # Each relation's rows, and whether a new row is an event.
+        self._sinks = {name: (rows, name in _EVENT_RELATIONS) for name, rows in self.relations.items()}
         # The global stores (address -> values / frames); they only grow.
         # Each entry is an insertion-ordered dict used as a set: terms hash
         # by identity, so iterating a set of them would order the trace by
@@ -320,7 +466,8 @@ class Machine:
         self.queue: deque[tuple[str, tuple]] = deque()
         self.steps = 0
         self.total_facts = 0
-        self.ceiling = cfg.fact_ceiling
+        # No ceiling is an infinite one, so emit compares without a branch.
+        self.ceiling = math.inf if cfg.fact_ceiling is None else cfg.fact_ceiling
         self.trace = trace
 
     def _t(self, rule: str, *cols) -> None:
@@ -331,68 +478,23 @@ class Machine:
     # -- fact intake ---------------------------------------------------
 
     def emit(self, rel: str, row: tuple) -> None:
-        rows = self.relations[rel]
+        rows, event = self._sinks[rel]
         if row in rows:
             return
         rows.add(row)
         self.total_facts += 1
-        if self.ceiling is not None and self.total_facts > self.ceiling:
+        if self.total_facts > self.ceiling:
             raise FactCeilingExceeded(self.total_facts, self.ceiling)
-        if rel in _EVENT_RELATIONS:
+        if event:
             self.queue.append((rel, row))
 
     def lookup(self, av: Term):
         return self.vstore.get(av, ())
 
-    # -- event processing ----------------------------------------------
+    # -- driver ----------------------------------------------------------
 
     def process(self, rel: str, row: tuple) -> None:
-        if rel == "state_e":
-            e, ctx, ak = row
-            node = self.program.nodes[e]
-            if self.trace is not None:
-                self._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
-            if isinstance(node, VarNode):
-                self.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
-            _eval_emissions(self.program, self.cfg, e, ctx, ak, self.lookup, self.emit)
-        elif rel == "state_a":
-            val, ak = row
-            # Join the new value against already-processed frames only; the
-            # reverse direction happens when those frames are processed.
-            for frame in list(self.kstore.get(ak, ())):
-                self.apply(val, ak, frame)
-            self._avals.setdefault(ak, []).append(val)
-        elif rel == "stored_kont":
-            ak, frame = row
-            for val in list(self._avals.get(ak, ())):
-                self.apply(val, ak, frame)
-            self.kstore.setdefault(ak, {})[frame] = None
-        elif rel == "stored_val":
-            av, val = row
-            for e, ak in self.var_reads.get(av, ()):
-                if self.trace is not None:
-                    self._t("e-ae", e, val)
-                self.emit("state_a", (val, ak))
-                self.emit("flow_ea", (e, val))
-            for dst in self.copy_to.get(av, ()):
-                if self.trace is not None:
-                    self._t("copy", *av.args, dst.args[1])
-                self.emit("stored_val", (dst, val))
-            self.vstore.setdefault(av, {})[val] = None
-        elif rel == "copy_ctx":
-            frm, to, e = row
-            for x in syntactic_free_vars(self.program, e):
-                self.copy_to.setdefault(VAddr(x, frm), []).append(VAddr(x, to))
-            if self.trace is not None:
-                self._t("copy", frm, to, e)
-            _copy_emissions(self.program, frm, to, e, self.lookup, self.emit)
-
-    def apply(self, val: Term, ak: Term, frame: Term) -> None:
-        if self.trace is not None:
-            self._t(_apply_rule_name(val, frame), val, ak, frame)
-        _apply_emissions(self.program, self.cfg, self.arg_lists, val, ak, frame, self.emit)
-
-    # -- driver ----------------------------------------------------------
+        self.HANDLERS[rel](self, row)
 
     def start(self) -> None:
         """Seed the free-variable relation and the injected initial facts."""
@@ -408,10 +510,21 @@ class Machine:
         self.emit("stored_kont", (ak0, MT_FRAME))
 
     def drain(self) -> None:
-        while self.queue:
-            rel, row = self.queue.popleft()
-            self.steps += 1
-            self.process(rel, row)
+        """Process queued events until none is left; ``process`` does the
+        same for one event."""
+        queue = self.queue
+        popleft = queue.popleft
+        handlers = self.HANDLERS
+        steps = self.steps
+        try:
+            while queue:
+                rel, row = popleft()
+                steps += 1
+                handlers[rel](self, row)
+        finally:
+            # Also when a handler raises, so ``steps`` counts the events
+            # processed, the failing one included.
+            self.steps = steps
 
     def result(self) -> AnalysisResult:
         # The copies are compact: a set grown by add() keeps up to 4x slack
@@ -439,31 +552,44 @@ def run_fixpoint(
     return Machine(program, cfg or AnalysisConfig(), trace=trace).run()
 
 
+class _Recheck:
+    """What the transitions read, over a finished result: its ``emit``
+    raises unless the fact is already in the result."""
+
+    def __init__(self, program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> None:
+        self.program = program
+        self.cfg = cfg
+        self.arg_lists = _arg_lists(program)
+        self.relations = relations
+        self.vstore: dict[Term, set[Term]] = {}
+        for av, val in relations["stored_val"]:
+            self.vstore.setdefault(av, set()).add(val)
+        self.source: tuple = ()
+
+    def lookup(self, av: Term):
+        return self.vstore.get(av, ())
+
+    def emit(self, rel: str, row: tuple) -> None:
+        if row not in self.relations[rel]:
+            raise ValidationError(f"not a fixpoint: {self.source} re-derives {rel}{row}")
+
+
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:
     """Verify the result is a fixpoint: re-deriving from every fact adds
     nothing.  Raises ValidationError naming the first missing fact."""
-    vstore: dict[Term, set[Term]] = {}
-    for av, val in relations["stored_val"]:
-        vstore.setdefault(av, set()).add(val)
+    chk = _Recheck(program, cfg, relations)
     kstore: dict[Term, set[Term]] = {}
     for ak, k in relations["stored_kont"]:
         kstore.setdefault(ak, set()).add(k)
-    lookup = lambda av: vstore.get(av, ())
-    arg_lists = _arg_lists(program)
-    source: tuple = ()
-
-    def check(rel: str, row: tuple) -> None:
-        if row not in relations[rel]:
-            raise ValidationError(f"not a fixpoint: {source} re-derives {rel}{row}")
-
     for e, ctx, ak in relations["state_e"]:
-        source = ("state_e", e, ctx, ak)
-        _eval_emissions(program, cfg, e, ctx, ak, lookup, check)
+        chk.source = ("state_e", e, ctx, ak)
+        node = program.nodes[e]
+        _EVAL[type(node)](chk, node, e, ctx, ak)
     for val, ak in relations["state_a"]:
-        source = ("state_a", val, ak)
+        chk.source = ("state_a", val, ak)
         for frame in kstore.get(ak, ()):
-            _apply_emissions(program, cfg, arg_lists, val, ak, frame, check)
+            _APPLY[type(frame)](chk, val, ak, frame)
     for frm, to, e in relations["copy_ctx"]:
-        source = ("copy_ctx", frm, to, e)
-        _copy_emissions(program, frm, to, e, lookup, check)
+        chk.source = ("copy_ctx", frm, to, e)
+        _copy(chk, frm, to, e)
     return True

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import TextIO
 
 from schemeflow.errors import ValidationError
 from schemeflow.terms import render
@@ -101,30 +102,33 @@ def _result_lines(rows) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def result_json_text(relations: dict[str, set[tuple]]) -> str:
-    """Exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for
-    ``doc = {name: [[cell, ...] per sorted row] for name in OUTPUT_RELATIONS}``,
-    written directly: with ``indent`` set, ``json.dumps`` leaves its C encoder
-    for a pure-Python one.  Each relation is escaped once (see the module
-    docstring for why that is exact)."""
-    members = []
+def write_result_json(relations: dict[str, set[tuple]], out: TextIO) -> None:
+    """Write exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for
+    ``doc = {name: [[cell, ...] per sorted row] for name in OUTPUT_RELATIONS}``
+    to ``out``, directly: with ``indent`` set, ``json.dumps`` leaves its C
+    encoder for a pure-Python one.  Each relation is escaped once (see the
+    module docstring for why that is exact) and written as soon as it is,
+    so the document is never held whole."""
+    sep = "{\n"
     for name in sorted(OUTPUT_RELATIONS):
+        out.write(f"{sep}  {encode_basestring_ascii(name)}: ")
+        sep = ",\n"
         rows = relations.get(name)
-        if rows:
-            # The sorted lines are held by no name, so they are freed before
-            # the escape and its copies are made: a lower peak memory.
-            cells = (
-                encode_basestring_ascii("\n".join(_result_lines(rows)))
-                .replace("\\\\", "\0")
-                .replace("\\t", '",\n      "')
-                .replace("\\n", '"\n    ],\n    [\n      "')
-                .replace("\0", "\\\\")
-            )
-            body = "[\n    [\n      " + cells + "\n    ]\n  ]"
-        else:
-            body = "[]"
-        members.append(f"  {encode_basestring_ascii(name)}: {body}")
-    return "{\n" + ",\n".join(members) + "\n}\n"
+        if not rows:
+            out.write("[]")
+            continue
+        out.write("[\n    [\n      ")
+        # The sorted lines are held by no name, so they are freed before
+        # the escape and its copies are made: a lower peak memory.
+        out.write(
+            encode_basestring_ascii("\n".join(_result_lines(rows)))
+            .replace("\\\\", "\0")
+            .replace("\\t", '",\n      "')
+            .replace("\\n", '"\n    ],\n    [\n      "')
+            .replace("\0", "\\\\")
+        )
+        out.write("\n    ]\n  ]")
+    out.write("\n}\n")
 
 
 def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, format: str = "tsv") -> None:
@@ -135,7 +139,8 @@ def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, fo
             rows = relations.get(name, set())
             (out / f"{name}.tsv").write_text(relation_text(rows, _result_lines), encoding="utf-8")
     elif format == "json":
-        (out / "result.json").write_text(result_json_text(relations), encoding="utf-8")
+        with open(out / "result.json", "w", encoding="utf-8") as f:
+            write_result_json(relations, f)
     else:
         raise ValidationError(f"unknown output format {format!r}")
 

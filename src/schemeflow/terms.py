@@ -104,12 +104,12 @@ def render(x: object) -> str:
 
     A term's text is fixed when the term is interned, so rendering a term
     is one attribute read; a text too long for that is built here, from the
-    args' texts, and kept on the term.
+    args' texts, and kept on the term (see :func:`_build_text`).
     """
     if isinstance(x, Term):
         text = x._text
         if text is None:
-            text = x._text = f"({x.tag} {' '.join(map(render, x.args))})"
+            text = _build_text(x)
         return text
     if isinstance(x, bool):  # guard: bools are ints in Python
         raise TypeError("raw Python bool is not a term column")
@@ -118,6 +118,24 @@ def render(x: object) -> str:
     if isinstance(x, str):
         return x
     raise TypeError(f"cannot render {x!r}")
+
+
+def _build_text(term: Term) -> str:
+    """Build and keep the texts missing on ``term`` and its sub-terms,
+    args before the terms that hold them, so that a term has a text only
+    when its args have theirs.  Iterative: a value chain can be deeper than
+    the recursion limit."""
+    pending = [term]
+    while pending:
+        t = pending[-1]
+        missing = [a for a in t.args if isinstance(a, Term) and a._text is None]
+        if missing:
+            pending.extend(missing)
+            continue
+        pending.pop()
+        if t._text is None:
+            t._text = f"({t.tag} {' '.join(map(render, t.args))})"
+    return term._text
 
 
 def _interned_text(cls: type[Term], args: tuple) -> str | None:
@@ -277,12 +295,32 @@ def make_context(call_label: Label, ctx: Context, m: int) -> Context:
 
 
 def _cut(v: Term, remaining: int) -> Term:
-    if remaining == 0:
-        return NUM_TOP
-    if isinstance(v, PrimVal):
-        op, v1, v2 = v.args
-        return PrimVal(op, _cut(v1, remaining - 1), _cut(v2, remaining - 1))
-    return v
+    """``v`` with each sub-term ``remaining`` levels below it replaced by
+    NumTop.  A sub-term shallower than the levels left is kept as it is, so
+    only sub-terms at least that deep are rebuilt, each once per level it
+    occurs at.  Iterative: a widen depth can exceed the recursion limit."""
+    cut: dict[tuple[Term, int], Term] = {}
+    pending = [(v, remaining)]
+    while pending:
+        key = pending[-1]
+        t, left = key
+        if key in cut:
+            pending.pop()
+        elif t._depth < left:
+            cut[key] = t
+            pending.pop()
+        elif left == 0:
+            cut[key] = NUM_TOP
+            pending.pop()
+        else:  # a PrimVal, as every other term has depth 0
+            op, v1, v2 = t.args
+            k1, k2 = (v1, left - 1), (v2, left - 1)
+            if k1 in cut and k2 in cut:
+                cut[key] = PrimVal(op, cut[k1], cut[k2])
+                pending.pop()
+            else:
+                pending += (k for k in (k2, k1) if k not in cut)
+    return cut[v, remaining]
 
 
 def widen_value(v: Term, depth_limit: int | None) -> Term:

@@ -214,6 +214,11 @@ class TestDiff:
         out = capsys.readouterr().out
         assert out == "identical across state_e, state_a, stored_val, stored_kont\n"
 
+    def test_a_widen_depth_past_the_recursion_limit_runs(self, capsys):
+        loop = str(CORPUS_DIR / "18_loop_widen.scm")
+        assert main(["diff", loop, "--widen-depth", "1500"]) == 0
+        assert capsys.readouterr().out.startswith("identical across ")
+
     def test_diff_flows_widens_the_comparison(self, program_file, capsys):
         assert main(["diff", str(program_file), "--diff-flows"]) == 0
         out = capsys.readouterr().out

@@ -7,10 +7,21 @@ from collections import Counter
 
 import pytest
 
+from schemeflow import frontend
 from schemeflow.analysis import AnalysisConfig, analyze
 from schemeflow.errors import FactCeilingExceeded, ValidationError
 from schemeflow.frontend import read_program, syntactic_free_vars
-from schemeflow.machine import Machine, _atomic_values, recheck, run_fixpoint
+from schemeflow.machine import (
+    _APPLY,
+    _EVAL,
+    _EVAL_RULE_NAMES,
+    _EVENT_RELATIONS,
+    Machine,
+    _atomic_values,
+    _eval_inert,
+    recheck,
+    run_fixpoint,
+)
 from schemeflow.terms import (
     Bool,
     Closure,
@@ -20,8 +31,10 @@ from schemeflow.terms import (
     KAddr,
     Label,
     LetK,
+    MT,
     Number,
     SetK,
+    TERM_TYPES,
     VAddr,
     render,
 )
@@ -168,13 +181,20 @@ class TestRunFixpoint:
         rules = {line.split("\t", 1)[0] for line in lines}
         assert {"e-prim", "a-prim1", "a-prim2", "a-halt"} <= rules
 
-    def test_untraced_run_names_no_rule(self, monkeypatch):
-        def unexpected(val, frame):
-            raise AssertionError("rule named without a trace")
+    def test_untraced_run_names_no_rule(self, monkeypatch, corpus_programs):
+        def unexpected(*args):
+            raise AssertionError("rule named or rendered without a trace")
+
+        class NoRuleNames(dict):
+            get = __getitem__ = unexpected
 
         monkeypatch.setattr("schemeflow.machine._apply_rule_name", unexpected)
+        monkeypatch.setattr("schemeflow.machine._EVAL_RULE_NAMES", NoRuleNames())
+        monkeypatch.setattr("schemeflow.machine.render", unexpected)
         result = run_fixpoint(read_program(corpus("13_prim_nested")), config())
         assert result.relations["state_a"]
+        for name in corpus_ids():
+            run_fixpoint(corpus_programs[name], config(m=1))
 
     def test_set_returns_sentinel_and_stores_value(self):
         result = run_fixpoint(read_program("(let ((x 1)) (set! x 2))"), config())
@@ -207,6 +227,33 @@ class TestRunFixpoint:
         fired = Counter(line.split("\t", 1)[1] for line in lines)
         for val, ak, frame in meetings:
             assert fired[f"{render(val)} {render(ak)} {render(frame)}"] == 1
+
+
+class TestTables:
+    def test_every_frame_class_has_an_apply_transition(self):
+        frames = {cls for cls in TERM_TYPES.values() if cls.__name__.endswith("K")} | {MT}
+        assert len(frames) == 9
+        assert set(_APPLY) == frames
+
+    def test_every_node_class_has_an_eval_transition(self):
+        nodes = {
+            cls
+            for cls in vars(frontend).values()
+            if isinstance(cls, type) and issubclass(cls, frontend.Node) and cls is not frontend.Node
+        }
+        assert set(_EVAL) == nodes
+        # The inert classes are those that no eval rule names.
+        assert {cls for cls, step in _EVAL.items() if step is not _eval_inert} == set(_EVAL_RULE_NAMES)
+
+    def test_every_event_relation_has_a_handler(self):
+        assert set(Machine.HANDLERS) == _EVENT_RELATIONS
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_steps_count_the_event_rows(self, m, corpus_programs):
+        for name in corpus_ids():
+            machine = Machine(corpus_programs[name], config(m=m))
+            relations = machine.run().relations
+            assert machine.steps == sum(len(relations[rel]) for rel in _EVENT_RELATIONS), name
 
 
 class TestOrderIndependence:
@@ -247,6 +294,11 @@ class CopyLog(Machine):
         rel, row = self.event
         if rule == "copy" and rel == "stored_val":
             self.by_stored_val[cols, row[1]] += 1
+
+    def drain(self) -> None:
+        # Machine.drain calls the event handlers without ``process``.
+        while self.queue:
+            self.process(*self.queue.popleft())
 
     def process(self, rel: str, row: tuple) -> None:
         self.event = (rel, row)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 from operator import attrgetter
 
@@ -17,9 +18,9 @@ from schemeflow.serialize import (
     _result_lines,
     relation_text,
     render_row,
-    result_json_text,
     sorted_lines,
     write_result_dir,
+    write_result_json,
 )
 from schemeflow.terms import (
     ArgK,
@@ -112,6 +113,13 @@ def reference_json_text(relations) -> str:
         for name in OUTPUT_RELATIONS
     }
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def json_text(relations) -> str:
+    """The text ``write_result_json`` streams."""
+    out = io.StringIO()
+    write_result_json(relations, out)
+    return out.getvalue()
 
 
 # Identifiers hold no space, tab, CR, newline, parentheses or '~' of their
@@ -242,7 +250,7 @@ class TestSorting:
         for rows in relations.values():
             assert relation_text(rows) == reference_relation_text(rows)
             assert relation_text(rows, _result_lines) == reference_relation_text(rows)
-        assert result_json_text(relations) == reference_json_text(relations)
+        assert json_text(relations) == reference_json_text(relations)
 
     def test_corpus_outputs_equal_the_reference_writers(self, corpus_programs):
         for program in corpus_programs.values():
@@ -252,7 +260,7 @@ class TestSorting:
                 relations = run_fixpoint(program, config(m=m)).relations
                 for name in OUTPUT_RELATIONS:
                     assert relation_text(relations[name]) == reference_relation_text(relations[name])
-                assert result_json_text(relations) == reference_json_text(relations)
+                assert json_text(relations) == reference_json_text(relations)
 
 
 class TestResultDirs:
@@ -290,7 +298,7 @@ class TestResultDirs:
         assert (tmp_path / "stored_val.tsv").read_text() == ""
 
     def test_json_document_shape(self):
-        doc = json.loads(result_json_text(self.relations()))
+        doc = json.loads(json_text(self.relations()))
         assert sorted(doc) == sorted(OUTPUT_RELATIONS)
         assert doc["state_a"] == [["(Number 42)", "(KAddress e0 (Context))"]]
         assert doc["stored_val"] == []

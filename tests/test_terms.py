@@ -107,7 +107,59 @@ def _pv(*vals):
     return out
 
 
+def _chain(depth: int, op: str) -> Term:
+    """A PrimVal chain ``depth`` levels deep, built iteratively; the deeper
+    operand alternates between the two positions."""
+    value = Number(-1)
+    for i in range(depth):
+        leaf = Number(i % 2)
+        value = PrimVal(op, value, leaf) if i % 2 else PrimVal(op, leaf, value)
+    return value
+
+
+def _deeper(value: PrimVal) -> Term:
+    _, a, b = value.args
+    return a if isinstance(a, PrimVal) else b
+
+
+def _widen_chain_reference(top: PrimVal, limit: int) -> Term:
+    """``widen_value`` of a chain deeper than ``limit``: keep the top
+    ``limit`` levels and put NumTop for both operands of the last one."""
+    spine = [top]
+    while len(spine) < limit:
+        spine.append(_deeper(spine[-1]))
+    value = PrimVal(spine[-1].args[0], NUM_TOP, NUM_TOP)
+    for t in reversed(spine[:-1]):
+        op, a, b = t.args
+        value = PrimVal(op, value, b) if isinstance(a, PrimVal) else PrimVal(op, a, value)
+    return value
+
+
+def _render_chain_reference(top: Term) -> str:
+    heads, tails = [], []
+    value = top
+    while isinstance(value, PrimVal):
+        op, a, b = value.args
+        if isinstance(a, PrimVal):
+            heads.append(f"(PrimVal {op} ")
+            tails.append(f" {render(b)})")
+        else:
+            heads.append(f"(PrimVal {op} {render(a)} ")
+            tails.append(")")
+        value = _deeper(value)
+    return "".join(heads) + render(value) + "".join(reversed(tails))
+
+
 class TestWidening:
+    def test_deep_chain_is_cut_without_recursion(self):
+        deep = _chain(5_000, "+")
+        assert deep._depth == 5_000
+        for limit in (3, 4_000):
+            widened = widen_value(deep, limit)
+            assert widened is _widen_chain_reference(deep, limit)
+            assert widened._depth == limit
+        assert widen_value(deep, 5_000) is deep
+
     def test_non_primval_unchanged(self):
         assert widen_value(Bool("#t"), 2) is Bool("#t")
 
@@ -174,6 +226,17 @@ class TestRender:
         with pytest.raises(TypeError):
             render(True)
 
+    def test_deep_chain_renders_without_recursion(self):
+        # Rendering keeps the text of every term on the chain, so memory
+        # grows with the square of the depth: 1,200 levels, past the default
+        # recursion limit, keep about 16 MB.
+        deep = _chain(1_200, "-")
+        assert render(deep) == _render_chain_reference(deep)
+        value = deep
+        while isinstance(value, PrimVal):
+            assert value._text is not None
+            value = _deeper(value)
+
 
 # ---------------------------------------------------------------------------
 # The memo: rendered text and PrimVal depth are cached on interned terms
@@ -208,6 +271,15 @@ def _reference_depth(x) -> int:
     return 0
 
 
+def _reference_cut(x, remaining: int):
+    if remaining == 0:
+        return NUM_TOP
+    if isinstance(x, PrimVal):
+        op, a, b = x.args
+        return PrimVal(op, _reference_cut(a, remaining - 1), _reference_cut(b, remaining - 1))
+    return x
+
+
 class TestMemo:
     @given(_trees)
     def test_render_matches_reference_and_is_cached(self, t):
@@ -227,6 +299,11 @@ class TestMemo:
             assert widen_value(t, limit) is t
         else:
             assert widen_value(t, limit)._depth == limit
+
+    @given(_trees, st.integers(min_value=1, max_value=6))
+    def test_widen_matches_the_recursive_cut(self, t, limit):
+        expect = t if _reference_depth(t) <= limit else _reference_cut(t, limit)
+        assert widen_value(t, limit) is expect
 
     @pytest.mark.parametrize("tag", sorted(TERM_TYPES))
     def test_fields_read_their_args_and_no_instance_dict(self, tag):
