@@ -196,16 +196,18 @@ def freevar_rules() -> list[Rule]:
     ]
 
 
-def eval_rules() -> list[Rule]:
-    def ka(e, ctx):
-        return T("KAddress", e, ctx)
+def _ka(e, ctx):
+    """The continuation address of ``e`` evaluated in ``ctx``."""
+    return T("KAddress", e, ctx)
 
+
+def eval_rules() -> list[Rule]:
     return [
         rule(
             "e-if",
             heads=[
-                atom("state_e", v.eg, v.ctx, ka(v.eg, v.ctx)),
-                atom("stored_kont", ka(v.eg, v.ctx), T("If", v.et, v.ef, v.ctx, v.ak)),
+                atom("state_e", v.eg, v.ctx, _ka(v.eg, v.ctx)),
+                atom("stored_kont", _ka(v.eg, v.ctx), T("If", v.et, v.ef, v.ctx, v.ak)),
                 atom("flow_ee", v.e, v.eg),
             ],
             body=[atom("state_e", v.e, v.ctx, v.ak), atom("if", v.e, v.eg, v.et, v.ef)],
@@ -213,8 +215,8 @@ def eval_rules() -> list[Rule]:
         rule(
             "e-callcc",
             heads=[
-                atom("state_e", v.elam, v.ctx, ka(v.elam, v.ctx)),
-                atom("stored_kont", ka(v.elam, v.ctx), T("Callcc", v.ectx, v.ak)),
+                atom("state_e", v.elam, v.ctx, _ka(v.elam, v.ctx)),
+                atom("stored_kont", _ka(v.elam, v.ctx), T("Callcc", v.ectx, v.ak)),
                 atom("flow_ee", v.e, v.elam),
             ],
             body=[
@@ -226,8 +228,8 @@ def eval_rules() -> list[Rule]:
         rule(
             "e-set",
             heads=[
-                atom("state_e", v.ev, v.ctx, ka(v.ev, v.ctx)),
-                atom("stored_kont", ka(v.ev, v.ctx), T("Set", T("VAddress", v.x, v.ctx), v.ak)),
+                atom("state_e", v.ev, v.ctx, _ka(v.ev, v.ctx)),
+                atom("stored_kont", _ka(v.ev, v.ctx), T("Set", T("VAddress", v.x, v.ctx), v.ak)),
                 atom("flow_ee", v.e, v.ev),
             ],
             body=[atom("state_e", v.e, v.ctx, v.ak), atom("setb", v.e, v.x, v.ev)],
@@ -235,8 +237,8 @@ def eval_rules() -> list[Rule]:
         rule(
             "e-call",
             heads=[
-                atom("state_e", v.efunc, v.ctx, ka(v.efunc, v.ctx)),
-                atom("stored_kont", ka(v.efunc, v.ctx), T("Arg", v.eargs, v.ctx, v.ectx, v.ak)),
+                atom("state_e", v.efunc, v.ctx, _ka(v.efunc, v.ctx)),
+                atom("stored_kont", _ka(v.efunc, v.ctx), T("Arg", v.eargs, v.ctx, v.ectx, v.ak)),
                 atom("flow_ee", v.e, v.efunc),
             ],
             body=[
@@ -248,10 +250,10 @@ def eval_rules() -> list[Rule]:
         rule(
             "e-let",
             heads=[
-                atom("state_e", v.ebnd, v.ctx, ka(v.ebnd, v.ctx)),
+                atom("state_e", v.ebnd, v.ctx, _ka(v.ebnd, v.ctx)),
                 atom(
                     "stored_kont",
-                    ka(v.ebnd, v.ctx),
+                    _ka(v.ebnd, v.ctx),
                     T("Let", T("VAddress", v.x, v.ectx), v.ebody, v.ectx, v.ak),
                 ),
                 atom("copy_ctx", v.ctx, v.ectx, v.e),
@@ -267,8 +269,8 @@ def eval_rules() -> list[Rule]:
         rule(
             "e-prim",
             heads=[
-                atom("state_e", v.ea0, v.ctx, ka(v.ea0, v.ctx)),
-                atom("stored_kont", ka(v.ea0, v.ctx), T("Prim1", v.opname, v.ea1, v.ctx, v.ak)),
+                atom("state_e", v.ea0, v.ctx, _ka(v.ea0, v.ctx)),
+                atom("stored_kont", _ka(v.ea0, v.ctx), T("Prim1", v.opname, v.ea1, v.ctx, v.ak)),
                 atom("flow_ee", v.e, v.ea0),
             ],
             body=[
@@ -342,9 +344,6 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
     widen = _widen_pv(cfg)
     truthy, falsy = _branch_tests(cfg)
 
-    def ka(e, ctx):
-        return T("KAddress", e, ctx)
-
     return [
         rule(
             "a-if-true",
@@ -399,8 +398,8 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
         rule(
             "a-arg",
             heads=[
-                atom("state_e", v.earg, v.ctx, ka(v.earg, v.ctx)),
-                atom("stored_kont", ka(v.earg, v.ctx), T("Fn", v.val, v.pos, v.ectx, v.next_ak)),
+                atom("state_e", v.earg, v.ctx, _ka(v.earg, v.ctx)),
+                atom("stored_kont", _ka(v.earg, v.ctx), T("Fn", v.val, v.pos, v.ectx, v.next_ak)),
                 atom("flow_ae", v.val, v.earg),
             ],
             body=[
@@ -451,8 +450,8 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
         rule(
             "a-prim1",
             heads=[
-                atom("state_e", v.ea1, v.ctx, ka(v.ea1, v.ctx)),
-                atom("stored_kont", ka(v.ea1, v.ctx), T("Prim2", v.op, v.val, v.next_ak)),
+                atom("state_e", v.ea1, v.ctx, _ka(v.ea1, v.ctx)),
+                atom("stored_kont", _ka(v.ea1, v.ctx), T("Prim2", v.op, v.val, v.next_ak)),
                 atom("flow_ae", v.val, v.ea1),
             ],
             body=[
@@ -522,9 +521,7 @@ def analyze(
 ) -> AnalysisResult:
     cfg = cfg or AnalysisConfig()
     edb = extract_facts(program)
-    store = TupleStore()
-    for name in ALL_RELATIONS:
-        store.ensure(name)
+    store = TupleStore(ALL_RELATIONS)
     for name, rows in edb.facts.items():
         store.bulk_add(name, rows)
     for name, rows in inject(edb, cfg).items():

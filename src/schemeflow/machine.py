@@ -11,11 +11,12 @@ relation sets — that equality is the core differential test.
 The transitions are two tables of plain functions: ``_EVAL`` maps each node
 class to its eval transition and ``_APPLY`` maps each continuation-frame
 class to its apply transition; inert nodes and the halt frame map to a
-no-op.  A transition reads the program, the configuration and the value
-store from its first argument and hands every fact it derives to that
-argument's ``emit``: the machine's records the fact, and ``recheck``'s
-raises unless the fact is already present, so each transition is defined
-once for both.
+no-op.  The first argument of a transition is always a ``Machine``: the
+transition reads the program, the configuration and the value store where
+the machine keeps them, and hands every fact it derives to the machine's
+``emit``.  ``recheck`` runs the same transitions on a ``Machine`` whose
+stores hold a finished result and whose ``emit`` raises unless the fact is
+already present, so each transition is defined once for both.
 
 The driver is event-based: each newly added fact (state, store entry, or
 context copy) is processed exactly once, by the handler that
@@ -83,28 +84,9 @@ from schemeflow.terms import (
 # Transitions (each derived fact goes to ``s.emit(relation, row)``)
 # ---------------------------------------------------------------------------
 #
-# The first argument ``s`` of every transition is a ``Machine`` or the
-# ``_Recheck`` of a finished result; a transition reads its ``program``,
-# ``cfg``, ``arg_lists``, ``lookup`` and ``emit``.
-
-
-def _arg_lists(program: LabeledProgram) -> dict[Label, tuple[tuple[int, Label], ...]]:
-    out: dict[Label, tuple[tuple[int, Label], ...]] = {}
-    for node in program.nodes.values():
-        if isinstance(node, (CallNode, PrimCallNode)):
-            out[node.args_label] = tuple(enumerate(node.args))
-    return out
-
-
-def _atomic_values(program: LabeledProgram, e: Label, ctx: Context, lookup) -> list[Term]:
-    node = program.nodes[e]
-    if isinstance(node, NumNode):
-        return [Number(node.value)]
-    if isinstance(node, BoolNode):
-        return [Bool(node.text)]
-    if isinstance(node, LambdaNode):
-        return [Closure(e, ctx)]
-    return list(lookup(VAddr(node.name, ctx)))  # a VarNode
+# The first argument ``s`` of every transition is a ``Machine``; ``recheck``'s
+# is one whose ``emit`` checks instead of adding.  A transition reads its
+# ``program``, ``cfg`` and ``vstore`` and hands each fact to its ``emit``.
 
 
 def _peek(s, e: Label, ctx: Context) -> Context:
@@ -122,16 +104,29 @@ def _eval_sub(emit, e: Label, sub: Label, ctx: Context, frame: Term) -> None:
     emit("flow_ee", (e, sub))
 
 
-def _eval_atomic(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
+def _arrive(emit, e: Label, val: Term, ak: KAddr) -> None:
+    """The atomic expression at ``e`` evaluates to ``val`` at ``ak``."""
+    emit("state_a", (val, ak))
+    emit("flow_ea", (e, val))
+
+
+def _eval_num(s, node: NumNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    _arrive(s.emit, e, Number(node.value), ak)
+
+
+def _eval_bool(s, node: BoolNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    _arrive(s.emit, e, Bool(node.text), ak)
+
+
+def _eval_var(s, node: VarNode, e: Label, ctx: Context, ak: KAddr) -> None:
     emit = s.emit
-    for val in _atomic_values(s.program, e, ctx, s.lookup):
-        emit("state_a", (val, ak))
-        emit("flow_ea", (e, val))
+    for val in s.vstore.get(VAddr(node.name, ctx), ()):
+        _arrive(emit, e, val, ak)
 
 
 def _eval_lambda(s, node: LambdaNode, e: Label, ctx: Context, ak: KAddr) -> None:
     _peek(s, e, ctx)
-    _eval_atomic(s, node, e, ctx, ak)
+    _arrive(s.emit, e, Closure(e, ctx), ak)
 
 
 def _eval_if(s, node: IfNode, e: Label, ctx: Context, ak: KAddr) -> None:
@@ -170,9 +165,9 @@ def _eval_inert(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
 
 
 _EVAL = {
-    NumNode: _eval_atomic,
-    BoolNode: _eval_atomic,
-    VarNode: _eval_atomic,
+    NumNode: _eval_num,
+    BoolNode: _eval_bool,
+    VarNode: _eval_var,
     LambdaNode: _eval_lambda,
     IfNode: _eval_if,
     SetNode: _eval_set,
@@ -243,7 +238,9 @@ def _apply_set(s, val: Term, ak: KAddr, frame: SetK) -> None:
 def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
     eargs, ctx, ectx, next_ak = frame.args
     emit = s.emit
-    for pos, earg in s.arg_lists.get(eargs, ()):
+    # ``eargs`` labels the argument list of a call node.
+    nodes = s.program.nodes
+    for pos, earg in enumerate(nodes[nodes[eargs].owner].args):
         ka = KAddr(earg, ctx)
         emit("state_e", (earg, ctx, ka))
         emit("stored_kont", (ka, FnK(val, pos, ectx, next_ak)))
@@ -312,18 +309,15 @@ _APPLY = {
 
 def _copy(s, frm: Context, to: Context, e: Label) -> None:
     emit = s.emit
-    lookup = s.lookup
+    vstore = s.vstore
     for fv in syntactic_free_vars(s.program, e):
-        for val in lookup(VAddr(fv, frm)):
+        for val in vstore.get(VAddr(fv, frm), ()):
             emit("stored_val", (VAddr(fv, to), val))
 
 
 # ---------------------------------------------------------------------------
 # The worklist fixpoint
 # ---------------------------------------------------------------------------
-
-_EVENT_RELATIONS = frozenset({"state_e", "state_a", "stored_val", "stored_kont", "copy_ctx"})
-
 
 _EVAL_RULE_NAMES = {
     NumNode: "e-ae",
@@ -407,8 +401,7 @@ def _on_stored_val(m: "Machine", row: tuple) -> None:
     for e, ak in m.var_reads.get(av, ()):
         if m.trace is not None:
             m._t("e-ae", e, val)
-        emit("state_a", (val, ak))
-        emit("flow_ea", (e, val))
+        _arrive(emit, e, val, ak)
     for dst in m.copy_to.get(av, ()):
         if m.trace is not None:
             m._t("copy", *av.args, dst.args[1])
@@ -450,14 +443,13 @@ class Machine:
         self.cfg = cfg
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
         # Each relation's rows, and whether a new row is an event.
-        self._sinks = {name: (rows, name in _EVENT_RELATIONS) for name, rows in self.relations.items()}
+        self._sinks = {name: (rows, name in self.HANDLERS) for name, rows in self.relations.items()}
         # The global stores (address -> values / frames); they only grow.
         # Each entry is an insertion-ordered dict used as a set: terms hash
         # by identity, so iterating a set of them would order the trace by
         # memory address.
         self.vstore: dict[Term, dict[Term, None]] = {}
         self.kstore: dict[Term, dict[Term, None]] = {}
-        self.arg_lists = _arg_lists(program)
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
         # Source address VAddr(x, frm) -> the addresses VAddr(x, to) that the
         # copy_ctx events seen so far copy it to, one per event.
@@ -488,13 +480,7 @@ class Machine:
         if event:
             self.queue.append((rel, row))
 
-    def lookup(self, av: Term):
-        return self.vstore.get(av, ())
-
     # -- driver ----------------------------------------------------------
-
-    def process(self, rel: str, row: tuple) -> None:
-        self.HANDLERS[rel](self, row)
 
     def start(self) -> None:
         """Seed the free-variable relation and the injected initial facts."""
@@ -510,8 +496,7 @@ class Machine:
         self.emit("stored_kont", (ak0, MT_FRAME))
 
     def drain(self) -> None:
-        """Process queued events until none is left; ``process`` does the
-        same for one event."""
+        """Process queued events until none is left."""
         queue = self.queue
         popleft = queue.popleft
         handlers = self.HANDLERS
@@ -552,22 +537,18 @@ def run_fixpoint(
     return Machine(program, cfg or AnalysisConfig(), trace=trace).run()
 
 
-class _Recheck:
-    """What the transitions read, over a finished result: its ``emit``
-    raises unless the fact is already in the result."""
+class _Recheck(Machine):
+    """A machine whose stores hold a finished result's entries and whose
+    ``emit`` raises unless the fact is already in the result."""
 
     def __init__(self, program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> None:
-        self.program = program
-        self.cfg = cfg
-        self.arg_lists = _arg_lists(program)
+        super().__init__(program, cfg)
         self.relations = relations
-        self.vstore: dict[Term, set[Term]] = {}
         for av, val in relations["stored_val"]:
-            self.vstore.setdefault(av, set()).add(val)
+            self.vstore.setdefault(av, {})[val] = None
+        for ak, frame in relations["stored_kont"]:
+            self.kstore.setdefault(ak, {})[frame] = None
         self.source: tuple = ()
-
-    def lookup(self, av: Term):
-        return self.vstore.get(av, ())
 
     def emit(self, rel: str, row: tuple) -> None:
         if row not in self.relations[rel]:
@@ -578,16 +559,13 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
     """Verify the result is a fixpoint: re-deriving from every fact adds
     nothing.  Raises ValidationError naming the first missing fact."""
     chk = _Recheck(program, cfg, relations)
-    kstore: dict[Term, set[Term]] = {}
-    for ak, k in relations["stored_kont"]:
-        kstore.setdefault(ak, set()).add(k)
     for e, ctx, ak in relations["state_e"]:
         chk.source = ("state_e", e, ctx, ak)
         node = program.nodes[e]
         _EVAL[type(node)](chk, node, e, ctx, ak)
     for val, ak in relations["state_a"]:
         chk.source = ("state_a", val, ak)
-        for frame in kstore.get(ak, ()):
+        for frame in chk.kstore.get(ak, ()):
             _APPLY[type(frame)](chk, val, ak, frame)
     for frm, to, e in relations["copy_ctx"]:
         chk.source = ("copy_ctx", frm, to, e)

@@ -71,6 +71,17 @@ def test_engine_result_is_a_true_fixpoint(stem, corpus_programs):
     assert recheck(program, cfg, result.relations)
 
 
+@pytest.mark.parametrize("truthiness", TRUTHINESS_MODES)
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("path", CORPUS, ids=corpus_ids())
+def test_recheck_accepts_both_paths(path, m, truthiness, corpus_programs):
+    """Re-deriving from either path's result adds nothing."""
+    program = corpus_programs[path.stem]
+    cfg = config(m=m, primval_truthiness=truthiness)
+    assert recheck(program, cfg, analyze(program, cfg).relations)
+    assert recheck(program, cfg, run_fixpoint(program, cfg).relations)
+
+
 def test_results_do_not_depend_on_hash_seed(tmp_path):
     """Byte-identical output across interpreter hash randomization seeds."""
     source = CORPUS[0].parent / "16_conflate_branches.scm"

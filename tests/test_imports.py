@@ -1,5 +1,6 @@
 """Every module-level import in the package is used by its module, and
-every module-level name is read by the program, not only by tests."""
+every module-level name and method is read by the program, not only by
+tests."""
 
 from __future__ import annotations
 
@@ -103,5 +104,24 @@ def test_every_module_level_name_is_read_by_the_program():
         if not name.startswith("__")
         and name not in exported
         and not any(name in r for j, r in enumerate(reads) if j != i)
+    ]
+    assert unread == []
+
+
+def test_every_method_is_read_by_the_program():
+    """A function defined in a package class body, other than a dunder, is
+    read by some statement of the package, as an attribute or a name, or
+    named by the benchmark; a method only tests call is dead code."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*map(_read, trees.values())) | _benchmark_names()
+    unread = [
+        f"{module}:{cls.name}.{stmt.name}"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("__")
+        and stmt.name not in read
     ]
     assert unread == []

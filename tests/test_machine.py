@@ -15,9 +15,7 @@ from schemeflow.machine import (
     _APPLY,
     _EVAL,
     _EVAL_RULE_NAMES,
-    _EVENT_RELATIONS,
     Machine,
-    _atomic_values,
     _eval_inert,
     recheck,
     run_fixpoint,
@@ -55,12 +53,9 @@ def fire_one(machine: Machine, rel: str, row: tuple) -> set[tuple[str, tuple]]:
     before = {name: set(rows) for name, rows in machine.relations.items()}
     machine.emit(rel, row)
     before[rel].add(row)
-    machine.process(*machine.queue.popleft())
+    rel, row = machine.queue.popleft()
+    Machine.HANDLERS[rel](machine, row)
     return {(name, r) for name, rows in machine.relations.items() for r in rows - before[name]}
-
-
-def no_store(av):
-    return ()
 
 
 def copies(program, relations):
@@ -78,23 +73,52 @@ def copies(program, relations):
 
 
 class TestAtomicEval:
+    """The eval transitions of the atomic node classes: each value arrives
+    at the continuation address and flows out of the expression."""
+
     def test_number(self):
-        program = read_program("42")
-        assert _atomic_values(program, L(0), EMPTY_CONTEXT, no_store) == [Number(42)]
+        machine = Machine(read_program("42"), config())
+        ak = KAddr(L(0), EMPTY_CONTEXT)
+        assert fire_one(machine, "state_e", (L(0), EMPTY_CONTEXT, ak)) == {
+            ("state_a", (Number(42), ak)),
+            ("flow_ea", (L(0), Number(42))),
+        }
+
+    def test_bool(self):
+        machine = Machine(read_program("#f"), config())
+        ak = KAddr(L(0), EMPTY_CONTEXT)
+        assert fire_one(machine, "state_e", (L(0), EMPTY_CONTEXT, ak)) == {
+            ("state_a", (Bool("#f"), ak)),
+            ("flow_ea", (L(0), Bool("#f"))),
+        }
 
     def test_lambda_closes_over_context(self):
-        program = read_program("(lambda (x) x)")
+        machine = Machine(read_program("(lambda (x) x)"), config(m=2))
         ctx = Context(L(0))
-        assert _atomic_values(program, L(0), ctx, no_store) == [Closure(L(0), ctx)]
+        ak = KAddr(L(0), ctx)
+        assert fire_one(machine, "state_e", (L(0), ctx, ak)) == {
+            ("peek_ctx", (L(0), ctx, Context(L(0), L(0)))),
+            ("state_a", (Closure(L(0), ctx), ak)),
+            ("flow_ea", (L(0), Closure(L(0), ctx))),
+        }
 
     def test_unbound_var_is_empty(self):
-        program = read_program("x")
-        assert _atomic_values(program, L(0), EMPTY_CONTEXT, no_store) == []
+        machine = Machine(read_program("x"), config())
+        ak = KAddr(L(0), EMPTY_CONTEXT)
+        assert fire_one(machine, "state_e", (L(0), EMPTY_CONTEXT, ak)) == set()
 
     def test_bound_var_reads_store(self):
-        program = read_program("x")
-        vstore = {VAddr("x", EMPTY_CONTEXT): {Number(3)}}
-        assert _atomic_values(program, L(0), EMPTY_CONTEXT, vstore.__getitem__) == [Number(3)]
+        machine = Machine(read_program("x"), config())
+        ak = KAddr(L(0), EMPTY_CONTEXT)
+        machine.emit("stored_val", (VAddr("x", EMPTY_CONTEXT), Number(3)))
+        machine.emit("stored_val", (VAddr("x", EMPTY_CONTEXT), Number(4)))
+        machine.drain()
+        assert fire_one(machine, "state_e", (L(0), EMPTY_CONTEXT, ak)) == {
+            ("state_a", (Number(3), ak)),
+            ("flow_ea", (L(0), Number(3))),
+            ("state_a", (Number(4), ak)),
+            ("flow_ea", (L(0), Number(4))),
+        }
 
 
 class TestStep:
@@ -245,15 +269,12 @@ class TestTables:
         # The inert classes are those that no eval rule names.
         assert {cls for cls, step in _EVAL.items() if step is not _eval_inert} == set(_EVAL_RULE_NAMES)
 
-    def test_every_event_relation_has_a_handler(self):
-        assert set(Machine.HANDLERS) == _EVENT_RELATIONS
-
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_steps_count_the_event_rows(self, m, corpus_programs):
         for name in corpus_ids():
             machine = Machine(corpus_programs[name], config(m=m))
             relations = machine.run().relations
-            assert machine.steps == sum(len(relations[rel]) for rel in _EVENT_RELATIONS), name
+            assert machine.steps == sum(len(relations[rel]) for rel in Machine.HANDLERS), name
 
 
 class TestOrderIndependence:
@@ -272,7 +293,7 @@ class TestOrderIndependence:
                 rel, row = machine.queue.popleft()
                 machine.queue.rotate(i)
                 machine.steps += 1
-                machine.process(rel, row)
+                Machine.HANDLERS[rel](machine, row)
             assert machine.result().relations == baseline
 
 
@@ -296,18 +317,16 @@ class CopyLog(Machine):
             self.by_stored_val[cols, row[1]] += 1
 
     def drain(self) -> None:
-        # Machine.drain calls the event handlers without ``process``.
+        # Each event is set before its handler runs, so each trace line is
+        # credited to the event whose handler wrote it.
         while self.queue:
-            self.process(*self.queue.popleft())
-
-    def process(self, rel: str, row: tuple) -> None:
-        self.event = (rel, row)
-        if rel == "copy_ctx":
-            frm, to, e = row
-            for x in syntactic_free_vars(self.program, e):
-                for val in self.vstore.get(VAddr(x, frm), ()):
-                    self.by_copy_ctx[f"{x} {render(frm)} {render(to)}", val] += 1
-        super().process(rel, row)
+            rel, row = self.event = self.queue.popleft()
+            if rel == "copy_ctx":
+                frm, to, e = row
+                for x in syntactic_free_vars(self.program, e):
+                    for val in self.vstore.get(VAddr(x, frm), ()):
+                        self.by_copy_ctx[f"{x} {render(frm)} {render(to)}", val] += 1
+            self.HANDLERS[rel](self, row)
 
 
 class TestCopyTargets:
