@@ -140,7 +140,7 @@ def context_rules(cfg: AnalysisConfig) -> list[Rule]:
     rules = [
         rule(
             f"peek-{form}",
-            heads=[atom("peek_ctx", v.e, v.ctx, A(mk, v.e, v.ctx, label="mk"))],
+            heads=[atom("peek_ctx", v.e, v.ctx, A(mk, v.e, v.ctx))],
             body=[
                 atom("state_e", v.e, v.ctx, WILD),
                 atom(form, v.e, *([WILD] * (arity - 1))),
@@ -462,8 +462,8 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
         rule(
             "a-prim2",
             heads=[
-                atom("state_a", A(widen, v.op, v.v1, v.v2, label="widen"), v.next_ak),
-                atom("flow_aa", v.v2, A(widen, v.op, v.v1, v.v2, label="widen")),
+                atom("state_a", A(widen, v.op, v.v1, v.v2), v.next_ak),
+                atom("flow_aa", v.v2, A(widen, v.op, v.v1, v.v2)),
             ],
             body=[
                 atom("state_a", v.v2, v.ak),

@@ -148,14 +148,6 @@ def cmd_facts(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, "analyze")
-
-
-def cmd_oracle(args: argparse.Namespace) -> int:
-    return _run_and_emit(args, "oracle")
-
-
 def cmd_diff(args: argparse.Namespace) -> int:
     program = _load(args)
     cfg = _config(args)
@@ -227,8 +219,9 @@ def _parser() -> argparse.ArgumentParser:
         return p
 
     add_program_cmd("facts", cmd_facts, "extract and emit the fact base", config=False, out=True)
-    for name, func in (("analyze", cmd_analyze), ("oracle", cmd_oracle)):
-        p = add_program_cmd(name, func, f"run the {name} path", config=True, out=True)
+    for name in ("analyze", "oracle"):
+        run = functools.partial(_run_and_emit, mode=name)
+        p = add_program_cmd(name, run, f"run the {name} path", config=True, out=True)
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
         if name == "oracle":
             p.add_argument(

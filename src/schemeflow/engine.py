@@ -118,15 +118,14 @@ class PStruct(Pattern):
 class PApply(Pattern):
     """``fn(*fields)`` over bound variables: a head column, or a guard."""
 
-    __slots__ = ("fn", "fields", "label")
+    __slots__ = ("fn", "fields")
 
-    def __init__(self, fn: Callable, fields: Sequence[Pattern], label: str | None = None) -> None:
+    def __init__(self, fn: Callable, fields: Sequence[Pattern]) -> None:
         self.fn = fn
         self.fields = tuple(fields)
-        self.label = label or fn.__name__
 
     def __repr__(self) -> str:
-        return f"@{self.label}({', '.join(map(repr, self.fields))})"
+        return f"@{self.fn.__name__}({', '.join(map(repr, self.fields))})"
 
 
 def coerce(p: object) -> Pattern:
@@ -151,8 +150,8 @@ def T(tag: str, *fields: object) -> PStruct:
     return PStruct(tag, [coerce(f) for f in fields])
 
 
-def A(fn: Callable, *fields: object, label: str | None = None) -> PApply:
-    return PApply(fn, [coerce(f) for f in fields], label)
+def A(fn: Callable, *fields: object) -> PApply:
+    return PApply(fn, [coerce(f) for f in fields])
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +299,6 @@ class TupleStore:
         # name -> key columns -> (row -> key, key -> rows)
         self._indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
 
-    def ensure(self, name: str) -> None:
-        self.relations.setdefault(name, set())
-
     def bulk_add(self, name: str, rows: Iterable[tuple]) -> set[tuple]:
         """Insert ``rows`` into ``name``; return those it did not hold yet."""
         rel = self.relations[name]
@@ -328,11 +324,6 @@ class TupleStore:
 
     def total(self) -> int:
         return sum(len(rows) for rows in self.relations.values())
-
-    def copy(self) -> "TupleStore":
-        out = TupleStore()
-        out.relations = {name: set(rows) for name, rows in self.relations.items()}
-        return out
 
 
 def _ground(p: Pattern, bound: set[str]) -> bool:
@@ -741,15 +732,14 @@ class SaturationStats:
 
 def saturate(
     ruleset: RuleSet,
-    edb: TupleStore,
+    store: TupleStore,
     *,
     naive: bool = False,
     fact_ceiling: int | None = None,
 ) -> tuple[TupleStore, SaturationStats]:
-    """Compute the least fixpoint of ``ruleset`` over ``edb`` (not mutated)."""
-    store = edb.copy()
+    """Extend ``store`` to the least fixpoint of ``ruleset`` and return it."""
     for name in ruleset.relations:
-        store.ensure(name)
+        store.relations.setdefault(name, set())
     stats = SaturationStats()
 
     def check_ceiling() -> None:

@@ -10,18 +10,20 @@ Every binder is renamed to ``name~N``; ``~`` is rejected in identifiers, so
 a renamed variable's source name is ``name.split("~")[0]`` and a free
 variable keeps its own name.  A node is read as ``program.nodes[label]``.
 
-Variable scoping note: ``syntactic_free_vars`` intentionally reproduces the
+Variable scoping note: ``free_vars`` intentionally reproduces the
 scoping the analysis' own deductive freevar rules compute, quirks included —
 a let's body is *not* filtered by its binding names, a multi-parameter
 lambda removes a parameter from its body only when it is the sole parameter,
 and a ``set!`` target does not count as a use.  The two computations are
 checked against each other relation-wide, so they must agree exactly.
+``free_vars`` computes them for every label at once, in one pass without
+recursion.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from schemeflow.errors import ParseError, ValidationError
@@ -205,7 +207,6 @@ class ListMarkerNode(Node):
 class LabeledProgram:
     root: Label
     nodes: dict[Label, Node]
-    _free_vars: dict[Label, tuple[str, ...]] = field(default_factory=dict, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +447,8 @@ def read_program(text: str, allow_quote: bool = False) -> LabeledProgram:
 # ---------------------------------------------------------------------------
 
 
-def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
-    """Free variables of the sub-expression at ``e``, per the rule scoping.
+def free_vars(p: LabeledProgram) -> dict[Label, tuple[str, ...]]:
+    """The free variables of every label's sub-expression, per the rule scoping.
 
     Deliberate quirks, identical to the deductive rules: a multi-parameter
     lambda keeps any body variable for which *some other* parameter exists;
@@ -455,48 +456,40 @@ def syntactic_free_vars(p: LabeledProgram, e: Label) -> tuple[str, ...]:
     binding expression is filtered by its own name); and the target of a
     ``set!`` is not itself a use.
 
-    The result is sorted, so iterating it does not depend on string hashing,
-    and it is computed once per label and program.
+    Every label a node reads (a sub-expression, a list marker, a list
+    element) is greater than its own, so one pass in descending label order
+    sees each of them first.  Each tuple is sorted, so iterating it does not
+    depend on string hashing.
     """
-    cached = p._free_vars.get(e)
-    if cached is not None:
-        return cached
-    node = p.nodes[e]
-    fv: set[str]
-    if isinstance(node, VarNode):
-        fv = {node.name}
-    elif isinstance(node, (NumNode, BoolNode, PrimOpNode, DatumNode, QuoteNode)):
-        fv = set()
-    elif isinstance(node, LambdaNode):
-        body = syntactic_free_vars(p, node.body)
-        fv = {x for x in body if any(v != x for v in node.params)}
-    elif isinstance(node, IfNode):
-        fv = {
-            *syntactic_free_vars(p, node.guard),
-            *syntactic_free_vars(p, node.then),
-            *syntactic_free_vars(p, node.other),
-        }
-    elif isinstance(node, (SetNode, CallccNode)):
-        fv = set(syntactic_free_vars(p, node.expr))
-    elif isinstance(node, LetNode):
-        fv = {*syntactic_free_vars(p, node.binds_label), *syntactic_free_vars(p, node.body)}
-    elif isinstance(node, PrimCallNode):
-        fv = set(syntactic_free_vars(p, node.args_label))
-    elif isinstance(node, CallNode):
-        fv = {*syntactic_free_vars(p, node.func), *syntactic_free_vars(p, node.args_label)}
-    elif isinstance(node, ListMarkerNode):
-        owner = p.nodes[node.owner]
-        fv = set()
-        if isinstance(owner, LetNode) and node.label == owner.binds_label:
-            for renamed, expr in owner.bindings:
-                fv.update(x for x in syntactic_free_vars(p, expr) if x != renamed)
-        elif isinstance(owner, (CallNode, PrimCallNode)) and node.label == owner.args_label:
-            for arg in owner.args:
-                fv.update(syntactic_free_vars(p, arg))
-        # else a lambda's parameter list: no freevar rule mentions it
-    else:  # pragma: no cover - exhaustive over node kinds
-        raise TypeError(f"unknown node {node!r}")
-    out = p._free_vars[e] = tuple(sorted(fv))
+    nodes = p.nodes
+    out: dict[Label, tuple[str, ...]] = {}
+    for e in reversed(nodes):
+        node = nodes[e]
+        if isinstance(node, VarNode):
+            fv = {node.name}
+        elif isinstance(node, LambdaNode):
+            fv = {x for x in out[node.body] if any(v != x for v in node.params)}
+        elif isinstance(node, IfNode):
+            fv = {*out[node.guard], *out[node.then], *out[node.other]}
+        elif isinstance(node, (SetNode, CallccNode)):
+            fv = set(out[node.expr])
+        elif isinstance(node, LetNode):
+            fv = {*out[node.binds_label], *out[node.body]}
+        elif isinstance(node, PrimCallNode):
+            fv = set(out[node.args_label])
+        elif isinstance(node, CallNode):
+            fv = {*out[node.func], *out[node.args_label]}
+        elif isinstance(node, ListMarkerNode):
+            owner = nodes[node.owner]
+            if isinstance(owner, LetNode):
+                fv = {x for renamed, expr in owner.bindings for x in out[expr] if x != renamed}
+            elif isinstance(owner, LambdaNode):
+                fv = set()  # a parameter list: no freevar rule mentions it
+            else:
+                fv = {x for arg in owner.args for x in out[arg]}
+        else:  # numbers, booleans, quotations and primitive operators
+            fv = set()
+        out[e] = tuple(sorted(fv))
     return out
 
 

@@ -14,9 +14,11 @@ class to its apply transition; inert nodes and the halt frame map to a
 no-op.  The first argument of a transition is always a ``Machine``: the
 transition reads the program, the configuration and the value store where
 the machine keeps them, and hands every fact it derives to the machine's
-``emit``.  ``recheck`` runs the same transitions on a ``Machine`` whose
-stores hold a finished result and whose ``emit`` raises unless the fact is
-already present, so each transition is defined once for both.
+``emit``.  ``recheck`` is a run of the same machine over a finished result,
+on a ``Machine`` whose ``emit`` raises unless the fact is already present:
+``start`` checks the premises (the ``freevar`` rows and the injected root
+facts), then every result row goes through its relation's handler, store
+rows first.  Each transition and each join is thus defined once for both.
 
 The driver is event-based: each newly added fact (state, store entry, or
 context copy) is processed exactly once, by the handler that
@@ -51,7 +53,7 @@ from schemeflow.frontend import (
     SetNode,
     VarNode,
     extract_facts,
-    syntactic_free_vars,
+    free_vars,
 )
 from schemeflow.terms import (
     ArgK,
@@ -307,14 +309,6 @@ _APPLY = {
 }
 
 
-def _copy(s, frm: Context, to: Context, e: Label) -> None:
-    emit = s.emit
-    vstore = s.vstore
-    for fv in syntactic_free_vars(s.program, e):
-        for val in vstore.get(VAddr(fv, frm), ()):
-            emit("stored_val", (VAddr(fv, to), val))
-
-
 # ---------------------------------------------------------------------------
 # The worklist fixpoint
 # ---------------------------------------------------------------------------
@@ -411,11 +405,14 @@ def _on_stored_val(m: "Machine", row: tuple) -> None:
 
 def _on_copy_ctx(m: "Machine", row: tuple) -> None:
     frm, to, e = row
-    for x in syntactic_free_vars(m.program, e):
-        m.copy_to.setdefault(VAddr(x, frm), []).append(VAddr(x, to))
     if m.trace is not None:
         m._t("copy", frm, to, e)
-    _copy(m, frm, to, e)
+    emit = m.emit
+    for x in m.free_vars[e]:
+        src, dst = VAddr(x, frm), VAddr(x, to)
+        m.copy_to.setdefault(src, []).append(dst)
+        for val in m.vstore.get(src, ()):
+            emit("stored_val", (dst, val))
 
 
 class Machine:
@@ -441,6 +438,7 @@ class Machine:
     ) -> None:
         self.program = program
         self.cfg = cfg
+        self.free_vars = free_vars(program)
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
         # Each relation's rows, and whether a new row is an event.
         self._sinks = {name: (rows, name in self.HANDLERS) for name, rows in self.relations.items()}
@@ -486,7 +484,7 @@ class Machine:
         """Seed the free-variable relation and the injected initial facts."""
         self.total_facts = sum(len(rows) for rows in extract_facts(self.program).facts.values())
         for e in self.program.nodes:
-            for x in syntactic_free_vars(self.program, e):
+            for x in self.free_vars[e]:
                 self.emit("freevar", (x, e))
         root = self.program.root
         eps = EMPTY_CONTEXT
@@ -538,17 +536,13 @@ def run_fixpoint(
 
 
 class _Recheck(Machine):
-    """A machine whose stores hold a finished result's entries and whose
-    ``emit`` raises unless the fact is already in the result."""
+    """A machine whose ``emit`` raises unless the fact is already in a
+    finished result."""
 
     def __init__(self, program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> None:
         super().__init__(program, cfg)
         self.relations = relations
-        for av, val in relations["stored_val"]:
-            self.vstore.setdefault(av, {})[val] = None
-        for ak, frame in relations["stored_kont"]:
-            self.kstore.setdefault(ak, {})[frame] = None
-        self.source: tuple = ()
+        self.source: str | tuple = "start"
 
     def emit(self, rel: str, row: tuple) -> None:
         if row not in self.relations[rel]:
@@ -556,18 +550,22 @@ class _Recheck(Machine):
 
 
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:
-    """Verify the result is a fixpoint: re-deriving from every fact adds
-    nothing.  Raises ValidationError naming the first missing fact."""
+    """Verify the result is the machine's fixpoint: ``start`` and the handler
+    of every result row derive nothing that is not in it, and ``freevar``
+    holds the program's free variables and nothing else.  Raises
+    ValidationError naming the first fact that is missing or extra.
+
+    The store rows go first: no reader is registered yet, so their handlers
+    only fill the stores.  Each join then fires once, from its ``state_e``,
+    ``state_a`` or ``copy_ctx`` row, against the whole store."""
     chk = _Recheck(program, cfg, relations)
-    for e, ctx, ak in relations["state_e"]:
-        chk.source = ("state_e", e, ctx, ak)
-        node = program.nodes[e]
-        _EVAL[type(node)](chk, node, e, ctx, ak)
-    for val, ak in relations["state_a"]:
-        chk.source = ("state_a", val, ak)
-        for frame in chk.kstore.get(ak, ()):
-            _APPLY[type(frame)](chk, val, ak, frame)
-    for frm, to, e in relations["copy_ctx"]:
-        chk.source = ("copy_ctx", frm, to, e)
-        _copy(chk, frm, to, e)
+    chk.start()
+    for x, e in relations["freevar"]:
+        if x not in chk.free_vars.get(e, ()):
+            raise ValidationError(f"not a fixpoint: freevar{(x, e)} is not a premise")
+    for rel in ("stored_val", "stored_kont", "state_e", "state_a", "copy_ctx"):
+        handler = Machine.HANDLERS[rel]
+        for row in relations[rel]:
+            chk.source = (rel, *row)
+            handler(chk, row)
     return True

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import settings
 
 from schemeflow.analysis import AnalysisConfig, analyze
+from schemeflow.engine import TupleStore
 from schemeflow.frontend import read_program
 from schemeflow.machine import run_fixpoint
 
@@ -44,6 +45,15 @@ def corpus_programs():
 def config(m: int = 0, **kw) -> AnalysisConfig:
     kw.setdefault("fact_ceiling", SUITE_CEILING)
     return AnalysisConfig(m=m, **kw)
+
+
+def store_of(relations, facts) -> TupleStore:
+    """A new store holding ``facts``; ``saturate`` extends the store it is
+    given, so each call needs its own."""
+    store = TupleStore(relations)
+    for name, rows in facts.items():
+        store.bulk_add(name, rows)
+    return store
 
 
 def both_paths(source: str, cfg: AnalysisConfig):

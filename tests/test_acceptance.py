@@ -15,13 +15,13 @@ import pytest
 
 from schemeflow.analysis import analyze
 from schemeflow.engine import TupleStore, atom, build_ruleset, rule, saturate, v
-from schemeflow.frontend import read_program, syntactic_free_vars
+from schemeflow.frontend import free_vars, read_program
 from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import relation_text, render_row
 from schemeflow.terms import Bool, Number
 from schemeflow.termgen import GenSpec, gen_mcfa_worst
 
-from conftest import CORPUS, CORPUS_DIR, config
+from conftest import CORPUS, CORPUS_DIR, config, store_of
 
 STATE_STORE_RELATIONS = ("state_e", "state_a", "stored_val", "stored_kont")
 
@@ -145,12 +145,14 @@ def test_criterion_3_precision_boundary():
     assert ok
 
 
+GRAPH_RELATIONS = {"edge": 2, "label": 2, "path": 2, "tagged": 2}
+
+
 def random_graph_ruleset(seed: int):
     rng = random.Random(seed)
     nodes = [f"n{i}" for i in range(rng.randint(6, 12))]
     edges = {(rng.choice(nodes), rng.choice(nodes)) for _ in range(rng.randint(15, 40))}
     labels = {(rng.choice(nodes), rng.choice("abc")) for _ in range(rng.randint(5, 15))}
-    relations = {"edge": 2, "label": 2, "path": 2, "tagged": 2}
     rules = [
         rule("p-base", [atom("path", v.x, v.y)], [atom("edge", v.x, v.y)]),
         rule(
@@ -164,7 +166,7 @@ def random_graph_ruleset(seed: int):
             [atom("path", v.x, v.y), atom("label", v.y, v.t)],
         ),
     ]
-    return build_ruleset(relations, rules), {"edge": edges, "label": labels}
+    return build_ruleset(GRAPH_RELATIONS, rules), {"edge": edges, "label": labels}
 
 
 def test_criterion_4_engine_correctness():
@@ -181,10 +183,9 @@ def test_criterion_4_engine_correctness():
         ),
     ]
     rs = build_ruleset(ancestor_relations, ancestor_rules)
-    edb = TupleStore(ancestor_relations)
-    edb.bulk_add("parent", {("a", "b"), ("b", "c"), ("c", "d"), ("x", "a")})
-    fast, _ = saturate(rs, edb)
-    slow, _ = saturate(rs, edb, naive=True)
+    parents = {"parent": {("a", "b"), ("b", "c"), ("c", "d"), ("x", "a")}}
+    fast, _ = saturate(rs, store_of(ancestor_relations, parents))
+    slow, _ = saturate(rs, store_of(ancestor_relations, parents), naive=True)
     if fast.relations != slow.relations:
         failures.append("ancestor naive!=semi-naive")
 
@@ -192,16 +193,13 @@ def test_criterion_4_engine_correctness():
         rs, facts = random_graph_ruleset(seed)
         total = sum(len(rows) for rows in facts.values())
         assert total <= 10_000
-        edb = TupleStore({"edge": 2, "label": 2, "path": 2, "tagged": 2})
-        for name, rows in facts.items():
-            edb.bulk_add(name, rows)
-        fast, _ = saturate(rs, edb)
-        slow, _ = saturate(rs, edb, naive=True)
+        fast, _ = saturate(rs, store_of(GRAPH_RELATIONS, facts))
+        slow, _ = saturate(rs, store_of(GRAPH_RELATIONS, facts), naive=True)
         if fast.relations != slow.relations:
             failures.append(f"seed {seed} naive!=semi-naive")
 
         def canonical(order_seed: int) -> bytes:
-            shuffled = TupleStore({"edge": 2, "label": 2, "path": 2, "tagged": 2})
+            shuffled = TupleStore(GRAPH_RELATIONS)
             for name, rows in facts.items():
                 ordered = sorted(rows)
                 random.Random(order_seed).shuffle(ordered)
@@ -236,8 +234,9 @@ def test_criterion_5_freevar_equivalence(corpus_programs):
         derived: dict = {e: set() for e in program.nodes}
         for x, e in result.relations["freevar"]:
             derived[e].add(x)
+        expected = free_vars(program)
         for e in program.nodes:
-            if derived[e] != set(syntactic_free_vars(program, e)):
+            if derived[e] != set(expected[e]):
                 mismatches.append(f"{stem}:{e}")
     ok = not mismatches
     report(

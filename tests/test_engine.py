@@ -33,7 +33,7 @@ from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import render_row
 from schemeflow.terms import Bool, Context, Label, Number, VAddr
 
-from conftest import config
+from conftest import config, store_of
 
 ANCESTOR_RELATIONS = {"parent": 2, "ancestor": 2}
 ANCESTOR_RULES = [
@@ -141,16 +141,17 @@ class TestSaturate:
         assert store.tuples("ancestor") == set()
         assert stats.peak_facts == 0
 
-    def test_edb_not_mutated(self):
-        edb = ancestor_store([("a", "b"), ("b", "c")])
-        saturate(build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES), edb)
-        assert edb.tuples("ancestor") == set()
+    def test_saturate_extends_its_store(self):
+        store = ancestor_store([("a", "b"), ("b", "c")])
+        out, _ = saturate(build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES), store)
+        assert out is store
+        assert store.tuples("ancestor") == {("a", "b"), ("b", "c"), ("a", "c")}
 
     def test_naive_equals_semi_naive(self):
         rs = build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES)
-        edb = ancestor_store([("a", "b"), ("b", "c"), ("c", "d"), ("x", "a")])
-        fast, _ = saturate(rs, edb)
-        slow, _ = saturate(rs, edb, naive=True)
+        pairs = [("a", "b"), ("b", "c"), ("c", "d"), ("x", "a")]
+        fast, _ = saturate(rs, ancestor_store(pairs))
+        slow, _ = saturate(rs, ancestor_store(pairs), naive=True)
         assert fast.relations == slow.relations
 
     def test_monotone_in_the_edb(self):
@@ -165,7 +166,7 @@ class TestSaturate:
     def test_fixpoint_reapplication_is_noop(self):
         rs = build_ruleset(ANCESTOR_RELATIONS, ANCESTOR_RULES)
         first, _ = saturate(rs, ancestor_store([("a", "b"), ("b", "c")]))
-        again, _ = saturate(rs, first)
+        again, _ = saturate(rs, store_of(ANCESTOR_RELATIONS, first.relations))
         assert again.relations == first.relations
 
     def test_fact_ceiling_trips(self):
@@ -199,7 +200,7 @@ class TestTermPatterns:
             rule("unbox", [atom("unboxed", v.n)], [atom("box", T("Number", v.n))]),
             rule(
                 "double",
-                [atom("doubled", A(lambda n: n * 2, v.n, label="twice"))],
+                [atom("doubled", A(lambda n: n * 2, v.n))],
                 [atom("unboxed", v.n)],
             ),
             rule("rebox", [atom("rebox", T("Number", v.n))], [atom("unboxed", v.n)]),
@@ -253,7 +254,7 @@ class TestTermPatterns:
             # The recursive rule stops once its guard fails: 0, 1, 2, 3.
             rule(
                 "succ",
-                [atom("num", A(lambda n: n + 1, v.n, label="succ"))],
+                [atom("num", A(lambda n: n + 1, v.n))],
                 [atom("num", v.n)],
                 [A(below, T("Number", v.n), 3)],
             ),
@@ -296,11 +297,8 @@ class TestBodyOrder:
 def saturate_both_ways(relations, rules, facts):
     """The semi-naive result, after checking that naive mode agrees."""
     rs = build_ruleset(relations, rules)
-    store = TupleStore(relations)
-    for name, rows in facts.items():
-        store.bulk_add(name, rows)
-    fast, _ = saturate(rs, store)
-    slow, _ = saturate(rs, store, naive=True)
+    fast, _ = saturate(rs, store_of(relations, facts))
+    slow, _ = saturate(rs, store_of(relations, facts), naive=True)
     assert fast.relations == slow.relations
     return fast
 
@@ -585,8 +583,9 @@ class TestNoPerRunState:
             out, _ = saturate(rs, store)
             del rs, twice
             assert [ref() for ref in refs] == [None, None]
+            assert out is store
             out_ref = weakref.ref(out)
-            del out
+            del out, store
             assert out_ref() is None
         finally:
             gc.enable()

@@ -10,12 +10,14 @@ from schemeflow.frontend import (
     IfNode,
     LambdaNode,
     LetNode,
+    ListMarkerNode,
     VarNode,
     extract_facts,
+    free_vars,
     read_program,
     read_sexprs,
-    syntactic_free_vars,
 )
+from schemeflow.termgen import GenSpec, gen_mcfa_worst, gen_vanhorn
 from schemeflow.terms import Label
 
 from conftest import CORPUS
@@ -246,39 +248,66 @@ class TestExtractFacts:
 class TestFreeVars:
     def test_var_is_free_in_itself(self):
         p = read_program("x")
-        assert syntactic_free_vars(p, p.root) == ("x",)
+        assert free_vars(p)[p.root] == ("x",)
 
     def test_sole_lambda_param_removed(self):
         p = read_program("(lambda (x) x)")
-        assert syntactic_free_vars(p, p.root) == ()
+        assert free_vars(p)[p.root] == ()
 
     def test_free_through_nested_lambdas(self):
         p = read_program("(lambda (w) (w z z))")
-        assert syntactic_free_vars(p, p.root) == ("z",)
+        assert free_vars(p)[p.root] == ("z",)
 
     def test_multi_param_lambda_keeps_param_free(self):
         # With two parameters the per-position disequality can always be
         # satisfied by the *other* parameter, so the bound name escapes.
         p = read_program("(lambda (x y) x)")
-        assert syntactic_free_vars(p, p.root) == ("x~1",)
+        assert free_vars(p)[p.root] == ("x~1",)
 
     def test_let_body_not_filtered(self):
         p = read_program("(let ((x 1)) x)")
-        assert syntactic_free_vars(p, p.root) == ("x~1",)
+        assert free_vars(p)[p.root] == ("x~1",)
 
     def test_let_binding_expr_filters_own_name(self):
         # x's own binding expression may not export x, but it exports y.
         p = read_program("(let ((x y)) 1)")
-        assert syntactic_free_vars(p, p.root) == ("y",)
+        assert free_vars(p)[p.root] == ("y",)
 
     def test_set_target_not_a_use(self):
         p = read_program("(set! y 5)")
-        assert syntactic_free_vars(p, p.root) == ()
+        assert free_vars(p)[p.root] == ()
 
     def test_sorted_tuple_independent_of_hashing(self):
         p = read_program("(lambda (w) (w z y (x w)))")
-        assert syntactic_free_vars(p, p.root) == ("x", "y", "z")
+        assert free_vars(p)[p.root] == ("x", "y", "z")
 
-    def test_syntactic_free_vars_is_memo_safe(self):
-        p = read_program("(lambda (w) (w z z))")
-        assert syntactic_free_vars(p, p.root) == syntactic_free_vars(p, p.root)
+    def test_every_label_read_is_greater(self):
+        """``free_vars`` makes one pass in descending label order, so each
+        label a node reads must be greater than its own: a sub-expression,
+        a list marker, or, for a marker, an element of its list."""
+        texts = [path.read_text() for path in CORPUS] + [
+            gen_vanhorn(),
+            *(gen_mcfa_worst(GenSpec(n, k, p)) for n, k, p in GENERATED_CELLS),
+            "(let ((a (quote (1 2))) (b (lambda (x y) (+ x y))))"
+            " (b a (call/cc (lambda (k) (set! a (if #t k 0))))))",
+        ]
+        for text in texts:
+            p = read_program(text, allow_quote=True)
+            assert list(p.nodes) == [L(n) for n in range(len(p.nodes))]
+            for label, node in p.nodes.items():
+                for read in labels_read(p, node):
+                    assert int(read.args[0][1:]) > int(label.args[0][1:]), (text, label, read)
+
+
+GENERATED_CELLS = [(1, 1, 0), (4, 1, 0), (4, 2, 1), (8, 1, 2), (16, 3, 1), (32, 4, 0), (64, 2, 2)]
+
+
+def labels_read(p, node) -> list[Label]:
+    """The labels of ``node``'s sub-expressions and list markers, or of the
+    elements of the list that ``node`` marks."""
+    if isinstance(node, ListMarkerNode):
+        owner = p.nodes[node.owner]
+        if isinstance(owner, LetNode):
+            return [expr for _, expr in owner.bindings]
+        return list(getattr(owner, "args", ()))  # a parameter list has none
+    return [value for name, value in vars(node).items() if name != "label" and isinstance(value, Label)]

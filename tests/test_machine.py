@@ -8,9 +8,9 @@ from collections import Counter
 import pytest
 
 from schemeflow import frontend
-from schemeflow.analysis import AnalysisConfig, analyze
+from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, analyze
 from schemeflow.errors import FactCeilingExceeded, ValidationError
-from schemeflow.frontend import read_program, syntactic_free_vars
+from schemeflow.frontend import free_vars, read_program
 from schemeflow.machine import (
     _APPLY,
     _EVAL,
@@ -30,10 +30,12 @@ from schemeflow.terms import (
     Label,
     LetK,
     MT,
+    MT_FRAME,
     Number,
     SetK,
     TERM_TYPES,
     VAddr,
+    make_context,
     render,
 )
 
@@ -64,10 +66,11 @@ def copies(program, relations):
     stored: dict = {}
     for av, val in relations["stored_val"]:
         stored.setdefault(av, []).append(val)
+    fvs = free_vars(program)
     return [
         (x, frm, to, val)
         for frm, to, e in relations["copy_ctx"]
-        for x in syntactic_free_vars(program, e)
+        for x in fvs[e]
         for val in stored.get(VAddr(x, frm), ())
     ]
 
@@ -323,7 +326,7 @@ class CopyLog(Machine):
             rel, row = self.event = self.queue.popleft()
             if rel == "copy_ctx":
                 frm, to, e = row
-                for x in syntactic_free_vars(self.program, e):
+                for x in self.free_vars[e]:
                     for val in self.vstore.get(VAddr(x, frm), ()):
                         self.by_copy_ctx[f"{x} {render(frm)} {render(to)}", val] += 1
             self.HANDLERS[rel](self, row)
@@ -374,3 +377,81 @@ class TestRecheck:
         relations[rel].remove(min(rows, key=lambda row: tuple(map(render, row))))
         with pytest.raises(ValidationError, match=rf"^not a fixpoint: \('{source}', "):
             recheck(program, cfg, relations)
+
+
+@pytest.fixture(scope="module")
+def corpus_results(corpus_programs):
+    """``(cell, program, cfg, relations)`` for both paths' results on every
+    corpus program, m in 0..2 and truthiness mode."""
+    out = []
+    for stem, program in sorted(corpus_programs.items()):
+        for m in (0, 1, 2):
+            for truthiness in TRUTHINESS_MODES:
+                cfg = config(m=m, primval_truthiness=truthiness)
+                for path, run in (("engine", analyze), ("oracle", run_fixpoint)):
+                    cell = f"{stem} m={m} {truthiness} {path}"
+                    out.append((cell, program, cfg, run(program, cfg).relations))
+    return out
+
+
+def rejection(program, cfg, relations) -> str | None:
+    """``recheck``'s error message, or None when it accepts ``relations``."""
+    try:
+        recheck(program, cfg, relations)
+    except ValidationError as ex:
+        return str(ex)
+    return None
+
+
+class TestRecheckPremises:
+    """``recheck`` checks what no transition re-derives: the injected root
+    facts and the ``freevar`` rows, which must equal the program's free
+    variables."""
+
+    def test_rejects_the_empty_result(self, corpus_results):
+        accepted = [
+            cell
+            for cell, program, cfg, relations in corpus_results
+            if not (rejection(program, cfg, {name: set() for name in relations}) or "").startswith(
+                "not a fixpoint: start re-derives "
+            )
+        ]
+        assert accepted == []
+
+    @pytest.mark.parametrize("rel", ["state_e", "peek_ctx", "stored_kont"])
+    def test_rejects_a_dropped_root_fact(self, rel, corpus_results):
+        wrong = []
+        for cell, program, cfg, relations in corpus_results:
+            root, ak0 = program.root, KAddr(program.root, EMPTY_CONTEXT)
+            row = {
+                "state_e": (root, EMPTY_CONTEXT, ak0),
+                "peek_ctx": (root, EMPTY_CONTEXT, make_context(root, EMPTY_CONTEXT, cfg.m)),
+                "stored_kont": (ak0, MT_FRAME),
+            }[rel]
+            assert row in relations[rel], cell
+            error = rejection(program, cfg, {**relations, rel: relations[rel] - {row}})
+            if error != f"not a fixpoint: start re-derives {rel}{row}":
+                wrong.append((cell, error))
+        assert wrong == []
+
+    def test_rejects_each_dropped_freevar_row(self, corpus_results):
+        wrong = []
+        dropped = 0
+        for cell, program, cfg, relations in corpus_results:
+            for row in relations["freevar"]:
+                dropped += 1
+                error = rejection(program, cfg, {**relations, "freevar": relations["freevar"] - {row}})
+                if error != f"not a fixpoint: start re-derives freevar{row}":
+                    wrong.append((cell, row, error))
+        assert dropped > 0
+        assert wrong == []
+
+    def test_rejects_an_added_freevar_row(self, corpus_results):
+        wrong = []
+        for cell, program, cfg, relations in corpus_results:
+            # Renaming counts from 1, so no variable is named ``v~0``.
+            row = ("v~0", program.root)
+            error = rejection(program, cfg, {**relations, "freevar": relations["freevar"] | {row}})
+            if error != f"not a fixpoint: freevar{row} is not a premise":
+                wrong.append((cell, error))
+        assert wrong == []
