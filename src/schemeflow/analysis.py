@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
 
 from schemeflow.engine import (
     A,
@@ -48,27 +47,51 @@ from schemeflow.terms import (
 TRUTHINESS_MODES = ("both-branches", "appendix-exact")
 
 
-@dataclass(frozen=True)
 class AnalysisConfig:
-    """Analysis knobs.  ``widen_depth=None`` with appendix-exact truthiness
-    (PrimVal/NumTop guards take no branch) is the reference behavior."""
+    """Analysis knobs, immutable and compared by value.  ``widen_depth=None``
+    with appendix-exact truthiness (PrimVal/NumTop guards take no branch) is
+    the reference behavior."""
 
-    m: int = 0
-    widen_depth: int | None = 2
-    primval_truthiness: str = "both-branches"
-    fact_ceiling: int | None = None
+    __slots__ = ("m", "widen_depth", "primval_truthiness", "fact_ceiling")
 
-    def __post_init__(self) -> None:
-        if self.m < 0:
+    def __init__(
+        self,
+        m: int = 0,
+        widen_depth: int | None = 2,
+        primval_truthiness: str = "both-branches",
+        fact_ceiling: int | None = None,
+    ) -> None:
+        if m < 0:
             raise ValidationError("m must be >= 0")
-        if self.widen_depth is not None and self.widen_depth < 1:
+        if widen_depth is not None and widen_depth < 1:
             raise ValidationError("widen_depth must be >= 1 or None (unlimited)")
-        if self.fact_ceiling is not None and self.fact_ceiling < 0:
-            raise ValidationError(f"fact ceiling must be >= 0, got {self.fact_ceiling}")
-        if self.primval_truthiness not in TRUTHINESS_MODES:
+        if fact_ceiling is not None and fact_ceiling < 0:
+            raise ValidationError(f"fact ceiling must be >= 0, got {fact_ceiling}")
+        if primval_truthiness not in TRUTHINESS_MODES:
             raise ValidationError(
-                f"primval_truthiness must be one of {TRUTHINESS_MODES}, got {self.primval_truthiness!r}"
+                f"primval_truthiness must be one of {TRUTHINESS_MODES}, got {primval_truthiness!r}"
             )
+        for name, value in zip(self.__slots__, (m, widen_depth, primval_truthiness, fact_ceiling)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.m, self.widen_depth, self.primval_truthiness, self.fact_ceiling)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"AnalysisConfig({fields})"
 
 
 IDB_SCHEMA: dict[str, int] = {
@@ -88,14 +111,18 @@ IDB_SCHEMA: dict[str, int] = {
 ALL_RELATIONS: dict[str, int] = {**EDB_SCHEMA, **IDB_SCHEMA}
 
 
-@dataclass
 class AnalysisResult:
     """Derived relations plus run metadata; shared by both analyzer paths."""
 
-    relations: dict[str, set[tuple]]
-    engine: str  # "seminaive" | "naive" | "worklist"
-    rounds: int = 0
-    peak_facts: int = 0
+    __slots__ = ("relations", "engine", "rounds", "peak_facts")
+
+    def __init__(
+        self, relations: dict[str, set[tuple]], engine: str, rounds: int = 0, peak_facts: int = 0
+    ) -> None:
+        self.relations = relations
+        self.engine = engine  # "seminaive" | "naive" | "worklist"
+        self.rounds = rounds
+        self.peak_facts = peak_facts
 
 
 # ---------------------------------------------------------------------------

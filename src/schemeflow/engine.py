@@ -56,7 +56,6 @@ from __future__ import annotations
 import collections
 import functools
 import operator
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from schemeflow.errors import FactCeilingExceeded, RuleError
@@ -159,8 +158,7 @@ def A(fn: Callable, *fields: object) -> PApply:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     rel: str
     patterns: tuple[Pattern, ...]
 
@@ -172,8 +170,7 @@ def atom(rel: str, *patterns: object) -> Atom:
     return Atom(rel, tuple(coerce(p) for p in patterns))
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     name: str
     heads: tuple[Atom, ...]
     body: tuple[Atom, ...]
@@ -202,14 +199,16 @@ def _pattern_vars(p: Pattern, out: set[str], *, allow_apply: bool) -> None:
             _pattern_vars(f, out, allow_apply=allow_apply)
 
 
-@dataclass
 class RuleSet:
-    relations: dict[str, int]  # name -> arity
-    rules: list[Rule]
-    strata: list[list[str]] = field(default_factory=list)
-    stratum_of: dict[str, int] = field(default_factory=dict)
-    # naive -> the compiled strata (see ``_program``); filled on first run
-    compiled: dict[bool, list[_Stratum]] = field(default_factory=dict, repr=False, compare=False)
+    # No ``__slots__``: a rule set stays weakly referenceable, so a test can
+    # check that nothing of a run keeps it alive.
+    def __init__(self, relations: dict[str, int], rules: list[Rule]) -> None:
+        self.relations = relations  # name -> arity
+        self.rules = rules
+        self.strata: list[list[str]] = []
+        self.stratum_of: dict[str, int] = {}
+        # naive -> the compiled strata (see ``_program``); filled on first run
+        self.compiled: dict[bool, list[_Stratum]] = {}
 
 
 def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
@@ -724,10 +723,12 @@ def _program(rs: RuleSet, naive: bool) -> list[_Stratum]:
     return program
 
 
-@dataclass
 class SaturationStats:
-    rounds: int = 0
-    peak_facts: int = 0
+    __slots__ = ("rounds", "peak_facts")
+
+    def __init__(self, rounds: int = 0, peak_facts: int = 0) -> None:
+        self.rounds = rounds
+        self.peak_facts = peak_facts
 
 
 def saturate(

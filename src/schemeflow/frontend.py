@@ -23,8 +23,8 @@ recursion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from schemeflow.errors import ParseError, ValidationError
 from schemeflow.serialize import relation_text
@@ -41,12 +41,11 @@ _BAD_IDENT_CHARS = set("()[]'\"`,;#")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SExpr:
+class SExpr(NamedTuple):
     """An atom (``items is None``) or a list, with its source position."""
 
     atom: str | None
-    items: tuple["SExpr", ...] | None
+    items: tuple[SExpr, ...] | None
     line: int
     col: int
 
@@ -113,100 +112,109 @@ def read_sexprs(text: str) -> list[SExpr]:
 # Labeled nodes
 # ---------------------------------------------------------------------------
 
+# Each node class is a NamedTuple whose first field is the node's label, and
+# ``Node`` is their union.  Nodes compare as tuples, whatever their class;
+# the program reads them by label and dispatches on ``type(node)``.
 
-@dataclass(frozen=True)
-class Node:
+
+class NumNode(NamedTuple):
     label: Label
-
-
-@dataclass(frozen=True)
-class NumNode(Node):
     value: int
 
 
-@dataclass(frozen=True)
-class BoolNode(Node):
+class BoolNode(NamedTuple):
+    label: Label
     text: str  # "#t" or "#f"
 
 
-@dataclass(frozen=True)
-class VarNode(Node):
+class VarNode(NamedTuple):
+    label: Label
     name: str
 
 
-@dataclass(frozen=True)
-class LambdaNode(Node):
+class LambdaNode(NamedTuple):
+    label: Label
     vars_label: Label
     params: tuple[str, ...]  # renamed, in position order
     body: Label
 
 
-@dataclass(frozen=True)
-class IfNode(Node):
+class IfNode(NamedTuple):
+    label: Label
     guard: Label
     then: Label
     other: Label
 
 
-@dataclass(frozen=True)
-class SetNode(Node):
+class SetNode(NamedTuple):
+    label: Label
     target: str
     expr: Label
 
 
-@dataclass(frozen=True)
-class CallccNode(Node):
+class CallccNode(NamedTuple):
+    label: Label
     expr: Label
 
 
-@dataclass(frozen=True)
-class LetNode(Node):
+class LetNode(NamedTuple):
+    label: Label
     binds_label: Label
     bindings: tuple[tuple[str, Label], ...]  # (renamed, expr)
     body: Label
 
 
-@dataclass(frozen=True)
-class PrimCallNode(Node):
+class PrimCallNode(NamedTuple):
+    label: Label
     op_label: Label
     op_name: str
     args_label: Label
     args: tuple[Label, ...]
 
 
-@dataclass(frozen=True)
-class CallNode(Node):
+class CallNode(NamedTuple):
+    label: Label
     func: Label
     args_label: Label
     args: tuple[Label, ...]
 
 
-@dataclass(frozen=True)
-class QuoteNode(Node):
+class QuoteNode(NamedTuple):
+    label: Label
     datum: Label
 
 
-@dataclass(frozen=True)
-class DatumNode(Node):
+class DatumNode(NamedTuple):
     """An inert quoted datum; carries no facts and takes no transitions."""
 
+    label: Label
 
-@dataclass(frozen=True)
-class PrimOpNode(Node):
+
+class PrimOpNode(NamedTuple):
     """The operator position of a primitive call."""
 
+    label: Label
 
-@dataclass(frozen=True)
-class ListMarkerNode(Node):
+
+class ListMarkerNode(NamedTuple):
     """Auxiliary label for an argument, parameter, or binding list."""
 
+    label: Label
     owner: Label
 
 
-@dataclass
+Node = (
+    NumNode | BoolNode | VarNode | LambdaNode | IfNode | SetNode | CallccNode | LetNode
+    | PrimCallNode | CallNode | QuoteNode | DatumNode | PrimOpNode | ListMarkerNode
+)
+
+
 class LabeledProgram:
-    root: Label
-    nodes: dict[Label, Node]
+    __slots__ = ("root", "nodes")
+
+    def __init__(self, root: Label, nodes: dict[Label, Node]) -> None:
+        self.root = root
+        self.nodes = nodes
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +224,18 @@ class LabeledProgram:
 def _is_identifier(tok: str) -> bool:
     if not tok or _INT_RE.match(tok) or tok in ("#t", "#f"):
         return False
-    return not any(c in _BAD_IDENT_CHARS for c in tok)
+    return _BAD_IDENT_CHARS.isdisjoint(tok)
+
+
+def _unreserved(sx: SExpr) -> str:
+    """The identifier ``sx``, which must not contain the renaming mark."""
+    if "~" in sx.atom:
+        raise ValidationError(
+            f"identifier {sx.atom!r} may not contain '~' (reserved for renaming)",
+            sx.line,
+            sx.col,
+        )
+    return sx.atom
 
 
 class _Builder:
@@ -238,13 +257,7 @@ class _Builder:
     def _ident(self, sx: SExpr, role: str) -> str:
         if not sx.is_atom or not _is_identifier(sx.atom):
             raise ValidationError(f"{role} must be an identifier", sx.line, sx.col)
-        if "~" in sx.atom:
-            raise ValidationError(
-                f"identifier {sx.atom!r} may not contain '~' (reserved for renaming)",
-                sx.line,
-                sx.col,
-            )
-        return sx.atom
+        return _unreserved(sx)
 
     def build(self, sx: SExpr, env: dict[str, str]) -> Label:
         if sx.is_atom:
@@ -268,8 +281,7 @@ class _Builder:
         elif tok in ("#t", "#f"):
             self.nodes[label] = BoolNode(label, tok)
         elif _is_identifier(tok):
-            self._ident(sx, "variable")
-            self.nodes[label] = VarNode(label, env.get(tok, tok))
+            self.nodes[label] = VarNode(label, env.get(_unreserved(sx), tok))
         else:
             raise ValidationError(f"unsupported literal {tok!r}", sx.line, sx.col)
         return label
@@ -517,9 +529,11 @@ EDB_SCHEMA: dict[str, int] = {
 }
 
 
-@dataclass
 class EDB:
-    facts: dict[str, set[tuple]]
+    __slots__ = ("facts",)
+
+    def __init__(self, facts: dict[str, set[tuple]]) -> None:
+        self.facts = facts
 
     def to_dir(self, path: str | Path) -> None:
         out = Path(path)

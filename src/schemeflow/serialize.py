@@ -40,7 +40,6 @@ cannot match inside another escape, and the placeholder is turned back.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -150,21 +149,34 @@ def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, fo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RunReport:
     """What a run did: sizes, effort, and configuration — counts match the
-    serialized outputs exactly; duration is wall-clock and varies run to run."""
+    serialized outputs exactly; duration is wall-clock and varies run to run.
+    ``to_json`` writes the instance's ``__dict__``."""
 
-    mode: str  # "analyze" | "oracle" | "bench"
-    program: str
-    m: int
-    widen_depth: int | None
-    truthiness: str
-    engine: str  # "seminaive" | "naive" | "worklist"
-    counts: dict[str, int] = field(default_factory=dict)
-    rounds: int = 0
-    peak_facts: int = 0
-    duration_ms: float = 0.0
+    def __init__(
+        self,
+        mode: str,  # "analyze" | "oracle" | "bench"
+        program: str,
+        m: int,
+        widen_depth: int | None,
+        truthiness: str,
+        engine: str,  # "seminaive" | "naive" | "worklist"
+        counts: dict[str, int] | None = None,
+        rounds: int = 0,
+        peak_facts: int = 0,
+        duration_ms: float = 0.0,
+    ) -> None:
+        self.mode = mode
+        self.program = program
+        self.m = m
+        self.widen_depth = widen_depth
+        self.truthiness = truthiness
+        self.engine = engine
+        self.counts = {} if counts is None else counts
+        self.rounds = rounds
+        self.peak_facts = peak_facts
+        self.duration_ms = duration_ms
 
     def to_json(self) -> str:
         return _indented_json(self.__dict__, "") + "\n"

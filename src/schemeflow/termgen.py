@@ -9,8 +9,6 @@ results stay singletons exactly when m > p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from schemeflow.errors import ValidationError
 
 VANHORN_TERM = (
@@ -19,21 +17,40 @@ VANHORN_TERM = (
 )
 
 
-@dataclass(frozen=True)
 class GenSpec:
-    """n_bindings calls to f, n_plus additions, padding wrapper layers."""
+    """n_bindings calls to f, n_plus additions, padding wrapper layers;
+    immutable and compared by value."""
 
-    n_bindings: int
-    n_plus: int = 1
-    padding: int = 0
+    __slots__ = ("n_bindings", "n_plus", "padding")
 
-    def __post_init__(self) -> None:
-        if self.n_bindings < 1:
+    def __init__(self, n_bindings: int, n_plus: int = 1, padding: int = 0) -> None:
+        if n_bindings < 1:
             raise ValidationError("n_bindings must be >= 1")
-        if self.n_plus < 0:
+        if n_plus < 0:
             raise ValidationError("n_plus must be >= 0")
-        if self.padding < 0:
+        if padding < 0:
             raise ValidationError("padding must be >= 0")
+        for name, value in zip(self.__slots__, (n_bindings, n_plus, padding)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return (self.n_bindings, self.n_plus, self.padding)
+
+    def __eq__(self, other: object) -> bool:
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"GenSpec({fields})"
 
 
 def gen_vanhorn() -> str:

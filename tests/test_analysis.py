@@ -85,6 +85,20 @@ class TestConfig:
         with pytest.raises(ValidationError):
             AnalysisConfig(primval_truthiness="maybe")
 
+    def test_immutable_and_compared_by_value(self):
+        cfg = AnalysisConfig(m=1, fact_ceiling=10)
+        assert cfg == AnalysisConfig(1, 2, "both-branches", 10)
+        assert hash(cfg) == hash(AnalysisConfig(1, fact_ceiling=10))
+        assert cfg != AnalysisConfig(m=1) and cfg != (1, 2, "both-branches", 10)
+        assert repr(cfg) == (
+            "AnalysisConfig(m=1, widen_depth=2, primval_truthiness='both-branches', fact_ceiling=10)"
+        )
+        with pytest.raises(AttributeError):
+            cfg.m = 2
+        with pytest.raises(AttributeError):
+            del cfg.m
+        assert cfg.m == 1
+
 
 class TestInject:
     def test_number_program(self):

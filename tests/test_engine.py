@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import io
 import keyword
@@ -283,7 +282,7 @@ class TestBodyOrder:
         monkeypatch.setattr(
             analysis,
             "build_rules",
-            lambda cfg: [dataclasses.replace(r, body=r.body[::-1]) for r in build_rules(cfg)],
+            lambda cfg: [r._replace(body=r.body[::-1]) for r in build_rules(cfg)],
         )
         cfg = config(m=m)
         bodies = [repr(r.body) for r in build_analysis_ruleset(cfg).rules]

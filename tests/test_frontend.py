@@ -310,4 +310,4 @@ def labels_read(p, node) -> list[Label]:
         if isinstance(owner, LetNode):
             return [expr for _, expr in owner.bindings]
         return list(getattr(owner, "args", ()))  # a parameter list has none
-    return [value for name, value in vars(node).items() if name != "label" and isinstance(value, Label)]
+    return [value for name, value in node._asdict().items() if name != "label" and isinstance(value, Label)]

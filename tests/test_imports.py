@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used by its module, and
-every module-level name and method is read by the program, not only by
-tests."""
+"""Every module-level import in the package is used by its module, every
+import runs at import time and none is of ``dataclasses``, and every
+module-level name and method is read by the program, not only by tests."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "schemeflow"
 # __init__.py imports names only to re-export them.
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def _imported(tree: ast.Module) -> list[str]:
@@ -53,6 +54,37 @@ def test_no_unused_module_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _used(tree)
     assert [name for name in _imported(tree) if name not in used] == []
+
+
+def _imports(tree: ast.AST) -> list[ast.Import | ast.ImportFrom]:
+    return [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(path):
+    """``@dataclass`` generates and ``exec``s each class's methods at import,
+    which every CLI run pays for; the package's classes are written out."""
+    modules = [
+        name
+        for node in _imports(ast.parse(path.read_text(encoding="utf-8")))
+        for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else [node.module])
+    ]
+    assert [m for m in modules if m and m.split(".")[0] == "dataclasses"] == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    """Every import runs when the module is imported.  Set-up is timed up to
+    the first job and the first round is never timed, so an import deferred
+    into a function would move its cost to where nothing measures it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nested = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in _imports(func)
+    ]
+    assert nested == []
 
 
 def _read(node: ast.AST) -> set[str]:

@@ -47,6 +47,17 @@ class TestGenSpec:
         with pytest.raises(ValidationError):
             GenSpec(n_bindings=1, padding=-1)
 
+    def test_immutable_and_compared_by_value(self):
+        s = GenSpec(4, 2, 1)
+        assert s == GenSpec(n_bindings=4, n_plus=2, padding=1) and hash(s) == hash(GenSpec(4, 2, 1))
+        assert s != GenSpec(4, 2, 0) and s != (4, 2, 1)
+        assert repr(s) == "GenSpec(n_bindings=4, n_plus=2, padding=1)"
+        with pytest.raises(AttributeError):
+            s.padding = 0
+        with pytest.raises(AttributeError):
+            del s.padding
+        assert s.padding == 1
+
 
 class TestVanHorn:
     def test_exact_text(self):
