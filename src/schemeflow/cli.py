@@ -26,7 +26,7 @@ from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, AnalysisResult
 from schemeflow.errors import FactCeilingExceeded, ParseError, ValidationError
 from schemeflow.frontend import LabeledProgram, extract_facts, read_program
 from schemeflow.machine import run_fixpoint
-from schemeflow.serialize import DIFF_RELATIONS, OUTPUT_RELATIONS, RunReport, render_row, write_result_dir
+from schemeflow.serialize import DIFF_RELATIONS, OUTPUT_RELATIONS, render_row, report_json, write_result_dir
 from schemeflow.termgen import GenSpec, gen_mcfa_worst, gen_vanhorn
 
 DEFAULT_FACT_CEILING = 5_000_000
@@ -101,19 +101,21 @@ def _load(args: argparse.Namespace) -> LabeledProgram:
 
 def _report(
     mode: str, program: str, cfg: AnalysisConfig, result: AnalysisResult, duration_ms: float
-) -> RunReport:
-    return RunReport(
-        mode=mode,
-        program=program,
-        m=cfg.m,
-        widen_depth=cfg.widen_depth,
-        truthiness=cfg.primval_truthiness,
-        engine=result.engine,
-        counts={name: len(result.relations[name]) for name in OUTPUT_RELATIONS},
-        rounds=result.rounds,
-        peak_facts=result.peak_facts,
-        duration_ms=round(duration_ms, 3),
-    )
+) -> dict[str, object]:
+    """What a run did: its configuration, sizes and effort.  The counts
+    match the written relations; the duration varies run to run."""
+    return {
+        "mode": mode,  # "analyze" | "oracle" | "bench"
+        "program": program,
+        "m": cfg.m,
+        "widen_depth": cfg.widen_depth,
+        "truthiness": cfg.primval_truthiness,
+        "engine": result.engine,  # "seminaive" | "naive" | "worklist"
+        "counts": {name: len(result.relations[name]) for name in OUTPUT_RELATIONS},
+        "rounds": result.rounds,
+        "peak_facts": result.peak_facts,
+        "duration_ms": round(duration_ms, 3),
+    }
 
 
 def _run_and_emit(args: argparse.Namespace, mode: str) -> int:
@@ -135,7 +137,7 @@ def _run_and_emit(args: argparse.Namespace, mode: str) -> int:
         write_result_dir(result.relations, args.out, format=args.format)
     except OSError as ex:
         raise ValidationError(f"cannot write {ex.filename or args.out}: {ex.strerror}") from None
-    sys.stdout.write(_report(mode, args.program, cfg, result, duration_ms).to_json())
+    sys.stdout.write(report_json(_report(mode, args.program, cfg, result, duration_ms)))
     return 0
 
 
@@ -187,7 +189,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     result = analyze(program, cfg)
     duration_ms = (time.perf_counter() - start) * 1000.0
     name = f"<{args.family} n={args.n} k={args.k} p={args.padding}>"
-    sys.stdout.write(_report("bench", name, cfg, result, duration_ms).to_json())
+    sys.stdout.write(report_json(_report("bench", name, cfg, result, duration_ms)))
     return 0
 
 

@@ -18,24 +18,23 @@ every round, for differential testing).
 Each rule's join is planned once per delta position.  The delta atom comes
 first; after it, the atom with the most columns ground by then, then the one
 with the fewest new variables, then the earliest declared.  The columns
-ground on arrival are a step's index key.  Each plan is then compiled into
-one Python function: nested ``for`` loops over the delta, index lookups and
-relations, unpacking of struct patterns, ``continue`` on a mismatch, and
-calls that append each built head row to its relation's buffer.  A builder
-call that the heads of a rule repeat is computed once per firing, into a
-variable.
+ground on arrival, some or all of them, are a step's index key.  Each plan
+is then compiled into one Python function: nested ``for`` loops over the
+delta, index lookups and relations, unpacking of struct patterns, an ``if``
+around the rest of the rule's block for each check on a candidate, and calls
+that append each built head row to its relation's buffer.  A builder call
+that the heads of a rule repeat is computed once per firing, into a variable.
 
 Semi-naive plans of one stratum whose first two steps match (the same delta
 relation, then the same index lookup, keyed on the same plain variables of
 the delta atom) compile to one function instead: one loop over the delta
 and one over the rows that the lookup finds, then each rule's own checks,
-loops, guards and heads as one block per rule, in rule order.  Until a
-rule's block opens a loop of its own, a mismatch there nests the rest of the
-block in an ``if`` rather than skipping, so it closes that block only and
-never the shared loops that later rules still read.  The analysis's eleven
-continuation-frame rules, which each join ``state_a`` to ``stored_kont`` on
-the continuation address, share one such pass; naive mode keeps one plan
-per rule as the reference.
+loops, guards and heads as one block per rule, in rule order.  As checks
+nest, a mismatch closes only its own rule's block, never the shared loops
+that later rules still read.  The analysis's eleven continuation-frame
+rules, which each join ``state_a`` to ``stored_kont`` on the continuation
+address, share one such pass; naive mode keeps one plan per rule as the
+reference.
 
 The source text holds only generated names, so one text serves every plan
 (or group) of its shape.  A rule set keeps its compiled joins, with their
@@ -390,12 +389,12 @@ def _tuple(items: list[str]) -> str:
 class _Source:
     """The source text of one compiled join, and the values its names stand for.
 
-    The text holds only identifiers made here: ``v*`` rule variables and
-    builder values computed once, ``t*`` values still to check, and one parameter of ``make`` per entry of
-    ``static`` (constants, constructors, builders) and of ``bound``
-    (relations, indexes and head appenders, which each run binds from its
-    own store).  So plans of the same shape share one text, and one
-    compiled function.
+    The text holds only identifiers made here: ``t*`` temporaries, which
+    hold unpacked values and builder values computed once, and one
+    parameter of ``make`` per entry of ``static`` (constants, constructors,
+    builders) and of ``bound`` (relations, indexes and head appenders, which
+    each run binds from its own store).  So plans of the same shape share
+    one text, and one compiled function.
     """
 
     def __init__(self) -> None:
@@ -404,12 +403,9 @@ class _Source:
         self.var: dict[str, str] = {}  # rule variable -> identifier
         self.calls: dict[tuple, str] = {}  # shape of a builder call -> its value's variable
         self.lines: list[str] = []
-        self.depth = 2  # inside make and join; each loop adds one
+        self.depth = 2  # inside make and join; each loop and check adds one
         self.temps = 0
         self.pending: list[tuple[Pattern, str]] = []  # (pattern, temporary) to check
-        # Whether a mismatch opens a nested ``if`` instead of skipping: set
-        # while a rule's block sits in loops that other rules share.
-        self.nest = False
 
     def _next(self, prefix: str) -> str:
         return f"{prefix}{len(self.static) + len(self.bound)}"
@@ -431,19 +427,21 @@ class _Source:
     def line(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
 
-    def require(self, fails: str, holds: str) -> None:
-        """Go on with the candidate only if ``holds`` (the negation of
-        ``fails``): skip it, or, nested, open an ``if``."""
-        if self.nest:
-            self.line(f"if {holds}:")
-            self.depth += 1
-        else:
-            self.line(f"if {fails}: {'continue' if self.depth > 2 else 'return'}")
+    def require(self, test: str) -> None:
+        """Go on with the candidate only if ``test`` holds: the rest of the
+        rule's block nests in an ``if``."""
+        self.line(f"if {test}:")
+        self.depth += 1
 
     def loop(self, patterns: Sequence[Pattern], rows: str, known: Sequence[int] = ()) -> None:
-        self.line(f"for {self.targets(patterns, known)} in {rows}:")
+        """Match each row of ``rows`` against ``patterns``; the ``known``
+        columns are those its lookup already matched."""
+        names = [
+            "_" if c in known or isinstance(p, PWild) else self.temp() for c, p in enumerate(patterns)
+        ]
+        self.line(f"for {_tuple(names)} in {rows}:")
         self.depth += 1
-        self.nest = False  # a skip now continues this rule's own loop
+        self.alias(patterns, names)
         self.unpacked()
 
     def build(self, p: Pattern) -> str:
@@ -461,25 +459,10 @@ class _Source:
             return f"{self.name('F', p.fn)}({', '.join(map(self.build, p.fields))})"
         raise RuleError(f"cannot instantiate {p!r}")
 
-    def targets(self, patterns: Sequence[Pattern], known: Sequence[int] = ()) -> str:
-        """Unpack targets for values matched against ``patterns``.  New
-        variables bind directly; wildcards and the ``known`` positions go to
-        ``_``; every other value goes to a temporary, which ``unpacked``
-        then checks."""
-        names = []
-        for c, p in enumerate(patterns):
-            if c in known or isinstance(p, PWild):
-                names.append("_")
-            elif isinstance(p, PVar) and p.name not in self.var:
-                names.append(self.var.setdefault(p.name, f"v{len(self.var)}"))
-            else:
-                names.append(self.temp())
-                self.pending.append((p, names[-1]))
-        return _tuple(names)
-
     def alias(self, patterns: Sequence[Pattern], names: Sequence[str]) -> None:
-        """Match ``patterns`` against values already unpacked into ``names``
-        (``_`` for a value known to match), as ``targets`` would."""
+        """Match ``patterns`` against values unpacked into ``names`` (``_``
+        for a value known to match): a new variable takes its value's name,
+        and ``unpacked`` then checks every other value."""
         for p, name in zip(patterns, names):
             if name == "_" or isinstance(p, PWild):
                 continue
@@ -496,19 +479,16 @@ class _Source:
     def match(self, p: Pattern, t: str) -> None:
         """Go on with the candidate only if the value ``t`` matches ``p``."""
         if isinstance(p, PVar):
-            self.require(f"{t} != {self.var[p.name]}", f"{t} == {self.var[p.name]}")
+            self.require(f"{t} == {self.var[p.name]}")
         elif isinstance(p, PConst):
-            k = self.name("K", p.value)
-            self.require(f"{t} != {k}", f"{t} == {k}")
+            self.require(f"{t} == {self.name('K', p.value)}")
         elif isinstance(p, PStruct):
-            cls = self.name("C", TERM_TYPES[p.tag])
-            n = len(p.fields)
-            self.require(
-                f"type({t}) is not {cls} or len({t}.args) != {n}",
-                f"type({t}) is {cls} and len({t}.args) == {n}",
-            )
+            cls, n = self.name("C", TERM_TYPES[p.tag]), len(p.fields)
+            self.require(f"type({t}) is {cls} and len({t}.args) == {n}")
             if n:
-                self.line(f"{self.targets(p.fields)} = {t}.args")
+                names = ["_" if isinstance(f, PWild) else self.temp() for f in p.fields]
+                self.line(f"{_tuple(names)} = {t}.args")
+                self.alias(p.fields, names)
                 self.unpacked()
         else:
             raise RuleError(f"pattern {p!r} not allowed in body")
@@ -519,18 +499,12 @@ class _Source:
         for rel, key_cols, patterns in steps:
             if not key_cols:
                 self.loop(patterns, self.bound_name("R", rel))
-            elif len(key_cols) == len(patterns):
-                # Every column is fixed: a membership test.
-                row = _tuple([self.build(p) for p in patterns])
-                rows = self.bound_name("R", rel)
-                self.require(f"{row} not in {rows}", f"{row} in {rows}")
             else:
                 cols = [self.build(patterns[c]) for c in key_cols]
                 key = cols[0] if len(cols) == 1 else _tuple(cols)
                 self.loop(patterns, f"{self.bound_name('I', rel, key_cols)}.get({key}, ())", key_cols)
         for g in r.guards:
-            test = self.build(g)
-            self.require(f"not {test}", test)
+            self.require(self.build(g))
         calls: list[tuple[tuple, PApply]] = []
         for h in r.heads:
             for p in h.patterns:
@@ -539,7 +513,7 @@ class _Source:
         for shape, p in calls:
             if counts[shape] > 1 and shape not in self.calls:
                 value = self.build(p)
-                self.calls[shape] = f"v{len(self.var) + len(self.calls)}"
+                self.calls[shape] = self.temp()
                 self.line(f"{self.calls[shape]} = {value}")
         for h in r.heads:
             row = _tuple([self.build(p) for p in h.patterns])
@@ -612,11 +586,9 @@ def _prefix(steps: Sequence[_Step]) -> tuple | None:
     its delta relation, and a second step that looks up an index keyed on
     plain variables of the delta atom, with the delta columns they come
     from.  None for a plan whose second step is not such a lookup."""
-    if len(steps) < 2:
+    if len(steps) < 2 or not steps[1].key_cols:
         return None
     delta, (rel, key_cols, patterns) = steps[0], steps[1]
-    if not key_cols or len(key_cols) == len(patterns):
-        return None
     names = [q.name if isinstance(q, PVar) else None for q in delta.patterns]
     at = []
     for c in key_cols:
@@ -632,8 +604,8 @@ def _compile(plans: Sequence[tuple[Rule, list[_Step]]], delta: bool) -> _Join:
     step's relation, or (``delta`` false) over whole relations.  Several
     plans must share a prefix (see ``_prefix``): one loop over the delta and
     one over the rows its index lookup finds hold each rule's own checks,
-    loops, guards and heads, one block per rule in order.  A mismatch there
-    nests, so it closes only its own rule's block."""
+    loops, guards and heads, one block per rule in order.  As checks nest,
+    a mismatch there closes only its own rule's block."""
     src = _Source()
     (r, steps), *rest = plans
     if not delta:
@@ -653,7 +625,7 @@ def _compile(plans: Sequence[tuple[Rule, list[_Step]]], delta: bool) -> _Join:
     src.depth += 1
     shared = src.depth
     for r, steps in plans:
-        src.depth, src.var, src.calls, src.nest = shared, {}, {}, True
+        src.depth, src.var, src.calls = shared, {}, {}
         src.alias(steps[0].patterns, cols)
         src.alias(steps[1].patterns, found)
         src.unpacked()

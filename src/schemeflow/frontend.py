@@ -246,8 +246,10 @@ class _Builder:
         self._rename_counter = 0
 
     def fresh_label(self) -> Label:
+        """The next label in pre-order, with its slot in ``nodes`` reserved."""
         label = Label(f"e{self._label_counter}")
         self._label_counter += 1
+        self.nodes[label] = None
         return label
 
     def rename(self, original: str) -> str:
@@ -277,7 +279,11 @@ class _Builder:
         label = self.fresh_label()
         tok = sx.atom
         if _INT_RE.match(tok):
-            self.nodes[label] = NumNode(label, int(tok))
+            try:
+                self.nodes[label] = NumNode(label, int(tok))
+            except ValueError:  # more digits than int() converts
+                message = f"integer literal too long ({len(tok)} characters)"
+                raise ValidationError(message, sx.line, sx.col) from None
         elif tok in ("#t", "#f"):
             self.nodes[label] = BoolNode(label, tok)
         elif _is_identifier(tok):
@@ -292,7 +298,6 @@ class _Builder:
             raise ValidationError("lambda expects (lambda (params...) body)", sx.line, sx.col)
         label = self.fresh_label()
         vars_label = self.fresh_label()
-        self.nodes[label] = None  # placeholder to reserve traversal order
         self.nodes[vars_label] = ListMarkerNode(vars_label, label)
         originals = [self._ident(p, "lambda parameter") for p in items[1].items]
         if len(set(originals)) != len(originals):
@@ -313,7 +318,6 @@ class _Builder:
         if len(items) != 4:
             raise ValidationError("if expects (if guard then else)", sx.line, sx.col)
         label = self.fresh_label()
-        self.nodes[label] = None
         guard = self.build(items[1], env)
         then = self.build(items[2], env)
         other = self.build(items[3], env)
@@ -326,7 +330,6 @@ class _Builder:
             raise ValidationError("set! expects (set! var expr)", sx.line, sx.col)
         target_orig = self._ident(items[1], "set! target")
         label = self.fresh_label()
-        self.nodes[label] = None
         expr = self.build(items[2], env)
         self.nodes[label] = SetNode(label, env.get(target_orig, target_orig), expr)
         return label
@@ -336,7 +339,6 @@ class _Builder:
         if len(items) != 2:
             raise ValidationError("call/cc expects (call/cc expr)", sx.line, sx.col)
         label = self.fresh_label()
-        self.nodes[label] = None
         expr = self.build(items[1], env)
         self.nodes[label] = CallccNode(label, expr)
         return label
@@ -349,7 +351,6 @@ class _Builder:
             raise ValidationError("let requires at least one binding", sx.line, sx.col)
         label = self.fresh_label()
         binds_label = self.fresh_label()
-        self.nodes[label] = None
         self.nodes[binds_label] = ListMarkerNode(binds_label, label)
         bindings = []
         seen: set[str] = set()
@@ -399,7 +400,6 @@ class _Builder:
         label = self.fresh_label()
         op_label = self.fresh_label()
         args_label = self.fresh_label()
-        self.nodes[label] = None
         self.nodes[op_label] = PrimOpNode(op_label)
         self.nodes[args_label] = ListMarkerNode(args_label, label)
         args = tuple(self.build(a, env) for a in items[1:])
@@ -415,7 +415,6 @@ class _Builder:
                 sx.col,
             )
         label = self.fresh_label()
-        self.nodes[label] = None
         func = self.build(items[0], env)
         args_label = self.fresh_label()
         self.nodes[args_label] = ListMarkerNode(args_label, label)

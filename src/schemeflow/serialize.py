@@ -149,37 +149,10 @@ def write_result_dir(relations: dict[str, set[tuple]], outdir: str | Path, *, fo
 # ---------------------------------------------------------------------------
 
 
-class RunReport:
-    """What a run did: sizes, effort, and configuration — counts match the
-    serialized outputs exactly; duration is wall-clock and varies run to run.
-    ``to_json`` writes the instance's ``__dict__``."""
-
-    def __init__(
-        self,
-        mode: str,  # "analyze" | "oracle" | "bench"
-        program: str,
-        m: int,
-        widen_depth: int | None,
-        truthiness: str,
-        engine: str,  # "seminaive" | "naive" | "worklist"
-        counts: dict[str, int] | None = None,
-        rounds: int = 0,
-        peak_facts: int = 0,
-        duration_ms: float = 0.0,
-    ) -> None:
-        self.mode = mode
-        self.program = program
-        self.m = m
-        self.widen_depth = widen_depth
-        self.truthiness = truthiness
-        self.engine = engine
-        self.counts = {} if counts is None else counts
-        self.rounds = rounds
-        self.peak_facts = peak_facts
-        self.duration_ms = duration_ms
-
-    def to_json(self) -> str:
-        return _indented_json(self.__dict__, "") + "\n"
+def report_json(report: dict[str, object]) -> str:
+    """The run report ``report`` as its JSON text: exactly
+    ``json.dumps(report, sort_keys=True, indent=2) + "\\n"``."""
+    return _indented_json(report, "") + "\n"
 
 
 def _indented_json(value: object, indent: str) -> str:

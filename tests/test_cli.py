@@ -279,6 +279,15 @@ class TestGenTermAndBench:
         assert report["program"] == "<mcfa n=2 k=1 p=0>"
 
 
+@pytest.fixture
+def int_digits_limit():
+    """A limit on the digits ``int()`` converts, restored after the test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
 class TestFailureModes:
     def test_parse_error_exits_1_with_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.scm"
@@ -299,6 +308,19 @@ class TestFailureModes:
         for command in ("analyze", "oracle"):
             assert main([command, str(bad), "--out", str(tmp_path / "x")]) == 1
             assert capsys.readouterr().err == "error: 1:1: duplicate let binding names\n"
+
+    @pytest.mark.parametrize("command", ["facts", "analyze", "oracle", "diff"])
+    def test_integer_literal_longer_than_int_converts_exits_1(
+        self, command, int_digits_limit, tmp_path, capsys
+    ):
+        bad = tmp_path / "long.scm"
+        bad.write_text("(+ 1\n   " + "9" * (int_digits_limit + 1) + ")")
+        argv = [command, str(bad)] + ([] if command == "diff" else ["--out", str(tmp_path / "x")])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: 2:4: integer literal too long ({int_digits_limit + 1} characters)\n"
+        assert not (tmp_path / "x").exists()
 
     def test_fact_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):
         loop = tmp_path / "loop.scm"

@@ -303,7 +303,7 @@ def saturate_both_ways(relations, rules, facts):
 
 
 # Identifiers the plan compiler writes itself; every other name in a plan's
-# source must be a generated ``v0``/``t0`` variable or ``K0``-style value.
+# source must be a generated ``t0`` variable or ``K0``-style value.
 PLAN_WORDS = {"make", "join", "delta", "get", "args", "type", "len", "_"}
 
 
@@ -401,7 +401,7 @@ class TestCompiledPatterns:
         assert out.tuples("truthy") == {(1,)}
         assert out.tuples("at_zero") == {("a", 3)}
 
-    def test_step_with_every_column_ground_is_a_membership_test(self):
+    def test_step_with_every_column_ground_is_an_index_lookup(self):
         relations = {"left": 2, "right": 2, "flag": 1, "both": 2}
         rules = [
             rule(
@@ -413,6 +413,11 @@ class TestCompiledPatterns:
         (r,) = rules
         # right(x, y) and flag(1) are both fully ground once left binds x, y.
         assert [s.key_cols for s in engine._plan(r, 0)] == [(), (0, 1), (0,)]
+        for naive in (False, True):
+            rs = build_ruleset(relations, rules)
+            (join,) = [j for s in engine._program(rs, naive) for j in s.once + s.joins]
+            assert ("I", "right", (0, 1)) in join.bindings
+            assert ("I", "flag", (0,)) in join.bindings
         facts = {"left": {(1, 2), (2, 3), (3, 4)}, "right": {(1, 2), (3, 4), (3, 5)}}
         out = saturate_both_ways(relations, rules, {**facts, "flag": {(1,)}})
         assert out.tuples("both") == {(1, 2), (3, 4)}
@@ -463,7 +468,7 @@ class TestCompiledPatterns:
         assert plan_texts
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:
-                assert re.fullmatch(r"[vtKCFRIO][0-9]+", name), (name, text)
+                assert re.fullmatch(r"[tKCFRIO][0-9]+", name), (name, text)
 
     def test_analysis_plans_hold_only_generated_names(self, plan_texts, corpus_programs):
         for naive in (False, True):
@@ -471,7 +476,18 @@ class TestCompiledPatterns:
         assert len(plan_texts) > 50
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:
-                assert re.fullmatch(r"[vtKCFRIO][0-9]+", name), (name, text)
+                assert re.fullmatch(r"[tKCFRIO][0-9]+", name), (name, text)
+
+    def test_every_check_nests_and_nothing_skips(self, plan_texts, corpus_programs):
+        program = corpus_programs["17_vanhorn"]
+        for mode in ("both-branches", "appendix-exact"):
+            for naive in (False, True):
+                analysis.analyze(program, config(m=1, primval_truthiness=mode), naive=naive)
+        assert plan_texts
+        for text in plan_texts:
+            for line in map(str.strip, text.splitlines()):
+                assert not line.startswith(("continue", "return")) or line == "return join", text
+                assert not line.startswith("if ") or line.endswith(":") and ": " not in line[3:], text
 
 
 class TestSharedPrefix:
