@@ -15,31 +15,31 @@ dependencies come first.  Each stratum runs either semi-naive (each
 derivation joins at least one newly-derived tuple) or naive (full re-join
 every round, for differential testing).
 
-Each rule's join is planned once per delta position.  The delta atom comes
-first; after it, the atom with the most columns ground by then, then the one
-with the fewest new variables, then the earliest declared.  The columns
-ground on arrival, some or all of them, are a step's index key.  Each plan
-is then compiled into one Python function: nested ``for`` loops over the
-delta, index lookups and relations, unpacking of struct patterns, an ``if``
-around the rest of the rule's block for each check on a candidate, and calls
-that append each built head row to its relation's buffer.  A builder call
-that the heads of a rule repeat is computed once per firing, into a variable.
+Each rule's join is planned once per body atom in its stratum, which comes
+first; a rule with no such atom, and each rule in naive mode, is planned
+once, from the atom ranked first.  After the first atom comes the one with
+the most columns ground by then, then the one with the fewest new
+variables, then the earliest declared.  The columns ground on arrival, some
+or all of them, are a later step's index key.
 
-Semi-naive plans of one stratum whose first two steps match (the same delta
-relation, then the same index lookup, keyed on the same plain variables of
-the delta atom) compile to one function instead: one loop over the delta
-and one over the rows that the lookup finds, then each rule's own checks,
-loops, guards and heads as one block per rule, in rule order.  As checks
-nest, a mismatch closes only its own rule's block, never the shared loops
-that later rules still read.  The analysis's eleven continuation-frame
-rules, which each join ``state_a`` to ``stored_kont`` on the continuation
-address, share one such pass; naive mode keeps one plan per rule as the
-reference.
+A stratum compiles to one Python function per relation its plans start
+with: one ``for`` loop over the rows ``saturate`` hands it (the relation's
+delta, or all of it), then one block per plan in rule order, with nested
+loops over index lookups and relations, unpacking of struct patterns, an
+``if`` around the rest of the block for each check on a candidate, and
+calls that append each built head row to its relation's buffer.  A builder
+call that the heads of a rule repeat is computed once per firing, into a
+variable.  Plans whose second step is the same index lookup, keyed on the
+same columns of the first atom, share the loop over the rows it finds.  As
+checks nest, a mismatch closes only its own plan's block.  So the
+analysis's main stratum compiles to six joins, and its eleven
+continuation-frame rules share one ``stored_kont`` lookup per ``state_a``
+row.  Naive mode keeps one join per rule as the reference.
 
-The source text holds only generated names, so one text serves every plan
-(or group) of its shape.  A rule set keeps its compiled joins, with their
-constants, constructors and builders, per mode from its first run on; a run
-binds only its own relations, indexes and buffers to them.
+The source text holds only generated names, so one text serves every join
+of its shape.  A rule set keeps its compiled joins, with their constants,
+constructors and builders, per mode from its first run on; a run binds only
+its own relations, indexes and buffers to them.
 
 A round runs its joins, then inserts each relation's buffer with whole-set
 operations: the new rows are the buffered rows minus the relation, the
@@ -223,6 +223,8 @@ def build_ruleset(relations: dict[str, int], rules: Iterable[Rule]) -> RuleSet:
                 )
         if not r.heads:
             raise RuleError(f"{r.name}: rule has no head")
+        if not r.body:
+            raise RuleError(f"{r.name}: rule has no body")
         body_vars: set[str] = set()
         for a in r.body:
             for p in a.patterns:
@@ -344,15 +346,15 @@ class _Step(NamedTuple):
     """One body atom of a join plan."""
 
     rel: str
-    key_cols: tuple[int, ...]  # columns ground on arrival: the index key
+    key_cols: tuple[int, ...]  # columns ground on arrival, if not first: the index key
     patterns: tuple[Pattern, ...]
 
 
 def _plan(r: Rule, first: int | None) -> list[_Step]:
-    """The join order of ``r``'s body.  The delta atom ``first`` comes first
-    and is matched whole against the delta.  Each next atom is the one with
-    the most columns ground by then, then the fewest new variables, then
-    the earliest declared."""
+    """The join order of ``r``'s body.  The first step is ``first``, or
+    else the atom ranked first, and is matched whole against the rows its
+    join is handed.  Each next atom is the one with the most columns ground
+    by then, then the fewest new variables, then the earliest declared."""
     bound: set[str] = set()
     todo = list(range(len(r.body)))
     steps = []
@@ -368,9 +370,7 @@ def _plan(r: Rule, first: int | None) -> list[_Step]:
         i = first if first is not None and not steps else min(todo, key=rank)
         todo.remove(i)
         a = r.body[i]
-        ground = () if i == first else tuple(
-            c for c, p in enumerate(a.patterns) if _ground(p, bound)
-        )
+        ground = tuple(c for c, p in enumerate(a.patterns) if steps and _ground(p, bound))
         steps.append(_Step(a.rel, ground, a.patterns))
         for p in a.patterns:
             _pattern_vars(p, bound, allow_apply=False)
@@ -393,7 +393,7 @@ class _Source:
     hold unpacked values and builder values computed once, and one
     parameter of ``make`` per entry of ``static`` (constants, constructors,
     builders) and of ``bound`` (relations, indexes and head appenders, which
-    each run binds from its own store).  So plans of the same shape share
+    each run binds from its own store).  So joins of the same shape share
     one text, and one compiled function.
     """
 
@@ -485,8 +485,8 @@ class _Source:
         elif isinstance(p, PStruct):
             cls, n = self.name("C", TERM_TYPES[p.tag]), len(p.fields)
             self.require(f"type({t}) is {cls} and len({t}.args) == {n}")
-            if n:
-                names = ["_" if isinstance(f, PWild) else self.temp() for f in p.fields]
+            names = ["_" if isinstance(f, PWild) else self.temp() for f in p.fields]
+            if any(name != "_" for name in names):
                 self.line(f"{_tuple(names)} = {t}.args")
                 self.alias(p.fields, names)
                 self.unpacked()
@@ -519,10 +519,10 @@ class _Source:
             row = _tuple([self.build(p) for p in h.patterns])
             self.line(f"{self.bound_name('O', h.rel)}({row})")
 
-    def join(self, delta_rel: str | None) -> _Join:
+    def join(self, rel: str) -> _Join:
         params = ", ".join([*self.static, *self.bound])
-        text = "\n".join([f"def make({params}):", "    def join(delta):", *self.lines, "    return join"])
-        return _Join(delta_rel, _make_function(text), tuple(self.static.values()), tuple(self.bound.values()))
+        text = "\n".join([f"def make({params}):", "    def join(rows):", *self.lines, "    return join"])
+        return _Join(rel, _make_function(text), tuple(self.static.values()), tuple(self.bound.values()))
 
 
 def _shape(p: Pattern) -> tuple:
@@ -558,13 +558,13 @@ class _Binding(NamedTuple):
 
 
 class _Join(NamedTuple):
-    """One compiled join of one plan or a group of them: ``make(*static,
-    *bound values)`` returns ``join(delta)``, which appends each row the
-    rules derive to the buffer of its head relation.  ``delta_rel`` names
-    the relation whose new rows ``delta`` holds, or is None for a join over
-    whole relations."""
+    """One compiled join of the plans that start with relation ``rel``:
+    ``make(*static, *bound values)`` returns ``join(rows)``, which matches
+    each of the ``rows`` of ``rel`` it is handed (its delta, or all of it)
+    against every plan and appends each row the rules derive to the buffer
+    of its head relation."""
 
-    delta_rel: str | None
+    rel: str
     make: Callable
     static: tuple
     bindings: tuple[_Binding, ...]
@@ -582,58 +582,58 @@ class _Join(NamedTuple):
 
 
 def _prefix(steps: Sequence[_Step]) -> tuple | None:
-    """What a delta plan shares with the plans it can run in one pass with:
-    its delta relation, and a second step that looks up an index keyed on
-    plain variables of the delta atom, with the delta columns they come
-    from.  None for a plan whose second step is not such a lookup."""
+    """What a plan shares with the plans of its join that can share a loop
+    with it: a second step that looks up an index keyed on plain variables
+    of the first atom, with the first atom's columns they come from.  None
+    for a plan whose second step is not such a lookup."""
     if len(steps) < 2 or not steps[1].key_cols:
         return None
-    delta, (rel, key_cols, patterns) = steps[0], steps[1]
-    names = [q.name if isinstance(q, PVar) else None for q in delta.patterns]
+    first, (rel, key_cols, patterns) = steps[0], steps[1]
+    names = [q.name if isinstance(q, PVar) else None for q in first.patterns]
     at = []
     for c in key_cols:
         p = patterns[c]
         if not isinstance(p, PVar) or p.name not in names:
             return None
         at.append(names.index(p.name))
-    return (delta.rel, rel, key_cols, tuple(at))
+    return (rel, key_cols, tuple(at))
 
 
-def _compile(plans: Sequence[tuple[Rule, list[_Step]]], delta: bool) -> _Join:
-    """Compile ``plans`` into one join: over the new rows of their first
-    step's relation, or (``delta`` false) over whole relations.  Several
-    plans must share a prefix (see ``_prefix``): one loop over the delta and
-    one over the rows its index lookup finds hold each rule's own checks,
-    loops, guards and heads, one block per rule in order.  As checks nest,
-    a mismatch there closes only its own rule's block."""
+def _compile(plans: Sequence[tuple[Rule, list[_Step]]]) -> _Join:
+    """Compile ``plans``, which all start with one relation, into one join:
+    one loop over the rows it is handed, then one block per plan in order.
+    Plans that share a prefix (see ``_prefix``) share one loop over the
+    rows its index lookup finds, and hold their blocks under it.  As checks
+    nest, a mismatch closes only its own plan's block."""
     src = _Source()
-    (r, steps), *rest = plans
-    if not delta:
-        src.rule(r, steps)
-        return src.join(None)
-    if not rest:
-        src.loop(steps[0].patterns, "delta")
-        src.rule(r, steps[1:])
-        return src.join(steps[0].rel)
-    delta_rel, rel, key_cols, at = _prefix(steps)
-    cols = [src.temp() for _ in steps[0].patterns]
-    src.line(f"for {_tuple(cols)} in delta:")
-    key = _tuple([cols[j] for j in at]) if len(at) > 1 else cols[at[0]]
-    found = ["_" if c in key_cols else src.temp() for c in range(len(steps[1].patterns))]
-    src.depth += 1
-    src.line(f"for {_tuple(found)} in {src.bound_name('I', rel, key_cols)}.get({key}, ()):")
-    src.depth += 1
-    shared = src.depth
+    groups: dict[object, list[tuple[Rule, list[_Step]]]] = {}
     for r, steps in plans:
-        src.depth, src.var, src.calls = shared, {}, {}
-        src.alias(steps[0].patterns, cols)
-        src.alias(steps[1].patterns, found)
-        src.unpacked()
-        src.rule(r, steps[2:])
-    return src.join(delta_rel)
+        groups.setdefault(_prefix(steps) or object(), []).append((r, steps))
+    first = plans[0][1][0]
+    cols = [src.temp() for _ in first.patterns]
+    src.line(f"for {_tuple(cols)} in rows:")
+    src.depth += 1
+    outer = src.depth
+    for prefix, group in groups.items():
+        src.depth, matched = outer, [cols]
+        if len(group) > 1:
+            rel, key_cols, at = prefix
+            key = _tuple([cols[j] for j in at]) if len(at) > 1 else cols[at[0]]
+            found = ["_" if c in key_cols else src.temp() for c in range(len(group[0][1][1].patterns))]
+            src.line(f"for {_tuple(found)} in {src.bound_name('I', rel, key_cols)}.get({key}, ()):")
+            src.depth += 1
+            matched.append(found)
+        shared = src.depth
+        for r, steps in group:
+            src.depth, src.var, src.calls = shared, {}, {}
+            for step, names in zip(steps, matched):
+                src.alias(step.patterns, names)
+            src.unpacked()
+            src.rule(r, steps[len(matched) :])
+    return src.join(first.rel)
 
 
-# The analysis rule sets compile to 52 distinct texts over m=0..2, both
+# The analysis rule sets compile to 39 distinct texts over m=0..2, both
 # truthiness modes, semi-naive and naive; the memo holds them all with room
 # to spare (tests/test_engine.py checks that it never evicts).
 @functools.lru_cache(maxsize=256)
@@ -651,11 +651,11 @@ def _make_function(text: str) -> Callable:
 
 
 class _Stratum(NamedTuple):
-    """The compiled joins of one stratum's rules.  ``once`` (semi-naive
-    only) holds the rules with no body atom in the stratum, which cannot
-    re-fire once the lower strata are fixed; ``joins`` holds, semi-naive,
-    one join per group of plans with a shared prefix, over all the plans
-    with one per body atom in the stratum, and naive one plan per rule."""
+    """The compiled joins of one stratum's rules, one per relation that
+    their plans start with.  ``once`` (semi-naive only) joins the rules
+    with no body atom in the stratum, which cannot re-fire once the lower
+    strata are fixed; ``joins`` holds, semi-naive, the joins of the plans
+    with one per body atom in the stratum, and naive one join per rule."""
 
     rels: tuple[str, ...]
     heads: tuple[str, ...]  # the relations its rules derive
@@ -674,23 +674,23 @@ def _program(rs: RuleSet, naive: bool) -> list[_Stratum]:
         rules = [r for r in rs.rules if rs.stratum_of[r.heads[0].rel] == stratum_index]
         if not rules:
             continue
-        once, joins = [], []
-        # Delta plans with the same prefix (see ``_prefix``) compile to one
-        # join, where the first of them stands.
-        groups: dict[object, list[tuple[Rule, list[_Step]]]] = {}
+        # The plans of each join, keyed by the relation they start with
+        # (naive, by a key of each rule's own).
+        once, joins = {}, {}
         for r in rules:
             firsts = [i for i, a in enumerate(r.body) if a.rel in scc]
             if naive:
-                joins.append(_compile([(r, _plan(r, None))], False))
+                joins[object()] = [(r, _plan(r, None))]
             elif firsts:
                 for i in firsts:
                     steps = _plan(r, i)
-                    groups.setdefault(_prefix(steps) or object(), []).append((r, steps))
+                    joins.setdefault(steps[0].rel, []).append((r, steps))
             else:
-                once.append(_compile([(r, _plan(r, None))], False))
-        joins.extend(_compile(plans, True) for plans in groups.values())
+                steps = _plan(r, None)
+                once.setdefault(steps[0].rel, []).append((r, steps))
         heads = tuple(dict.fromkeys(h.rel for r in rules for h in r.heads))
-        program.append(_Stratum(tuple(scc), heads, tuple(once), tuple(joins)))
+        compiled = (tuple(map(_compile, once.values())), tuple(map(_compile, joins.values())))
+        program.append(_Stratum(tuple(scc), heads, *compiled))
     rs.compiled[naive] = program
     return program
 
@@ -737,24 +737,20 @@ def saturate(
     for stratum in _program(ruleset, naive):
         buffers: dict[str, list[tuple]] = {rel: [] for rel in stratum.heads}
         for join in stratum.once:
-            join.bind(store, buffers)(None)
+            join.bind(store, buffers)(store.relations[join.rel])
         insert(buffers)
-        joins = [(j.delta_rel, j.bind(store, buffers)) for j in stratum.joins]
-        if naive:
-            new = True
-            while new:
-                stats.rounds += 1
-                for _, join in joins:
-                    join(None)
-                new = insert(buffers)
-            continue
+        joins = [(j.rel, j.bind(store, buffers)) for j in stratum.joins]
         # A round's joins only read the store, and its rows are inserted
         # after it, so the first delta can be the relations themselves.
-        delta = {rel: store.relations[rel] for rel in stratum.rels if store.relations[rel]}
+        # Naive, every round hands each join all of its relation.
+        delta = store.relations if naive else {
+            rel: store.relations[rel] for rel in stratum.rels if store.relations[rel]
+        }
         while delta:
             stats.rounds += 1
+            rows = store.relations if naive else delta
             for rel, join in joins:
-                if rel in delta:
-                    join(delta[rel])
+                if rel in rows:
+                    join(rows[rel])
             delta = insert(buffers)
     return store, stats

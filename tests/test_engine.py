@@ -79,6 +79,11 @@ class TestBuildRuleset:
         out, _ = saturate(rs, store)
         assert out.tuples("a_reached") == {("b",), ("c",)}
 
+    def test_rule_without_body(self):
+        bad = rule("r", [atom("ancestor", "a", "b")], [])
+        with pytest.raises(RuleError, match="no body"):
+            build_ruleset(ANCESTOR_RELATIONS, [bad])
+
     def test_unknown_body_relation(self):
         bad = rule("r", [atom("ancestor", v.p, v.a)], [atom("nope", v.p, v.a)])
         with pytest.raises(RuleError):
@@ -304,7 +309,7 @@ def saturate_both_ways(relations, rules, facts):
 
 # Identifiers the plan compiler writes itself; every other name in a plan's
 # source must be a generated ``t0`` variable or ``K0``-style value.
-PLAN_WORDS = {"make", "join", "delta", "get", "args", "type", "len", "_"}
+PLAN_WORDS = {"make", "join", "rows", "get", "args", "type", "len", "_"}
 
 
 def plan_names(text: str) -> set[str]:
@@ -413,11 +418,17 @@ class TestCompiledPatterns:
         (r,) = rules
         # right(x, y) and flag(1) are both fully ground once left binds x, y.
         assert [s.key_cols for s in engine._plan(r, 0)] == [(), (0, 1), (0,)]
+        # Ranked first, flag(1) is the relation its join is handed.
+        assert [(s.rel, s.key_cols) for s in engine._plan(r, None)] == [
+            ("flag", ()),
+            ("left", ()),
+            ("right", (0, 1)),
+        ]
         for naive in (False, True):
             rs = build_ruleset(relations, rules)
             (join,) = [j for s in engine._program(rs, naive) for j in s.once + s.joins]
-            assert ("I", "right", (0, 1)) in join.bindings
-            assert ("I", "flag", (0,)) in join.bindings
+            assert join.rel == "flag"
+            assert [b for b in join.bindings if b.kind == "I"] == [("I", "right", (0, 1))]
         facts = {"left": {(1, 2), (2, 3), (3, 4)}, "right": {(1, 2), (3, 4), (3, 5)}}
         out = saturate_both_ways(relations, rules, {**facts, "flag": {(1,)}})
         assert out.tuples("both") == {(1, 2), (3, 4)}
@@ -425,14 +436,16 @@ class TestCompiledPatterns:
         assert out.tuples("both") == set()
 
     def test_first_step_keyed_only_on_constants(self):
+        # A first step is scanned whole and checked, never looked up: the
+        # rows its join is handed are the step.
         relations = {"arg": 3, "flag": 2, "zeroes": 2, "yes": 1}
         rules = [
             rule("zeroes", [atom("zeroes", v.x, v.y)], [atom("arg", v.x, 0, v.y)]),
             rule("yes", [atom("yes", 1)], [atom("flag", 1, "on")]),
         ]
         zeroes, yes = rules
-        assert engine._plan(zeroes, None)[0].key_cols == (1,)
-        assert engine._plan(yes, None)[0].key_cols == (0, 1)
+        assert engine._plan(zeroes, None)[0].key_cols == ()
+        assert engine._plan(yes, None)[0].key_cols == ()
         facts = {"arg": {("a", 0, "p"), ("a", 1, "q"), ("b", 0, "r")}}
         out = saturate_both_ways(relations, rules, {**facts, "flag": {(1, "on")}})
         assert out.tuples("zeroes") == {("a", "p"), ("b", "r")}
@@ -473,7 +486,8 @@ class TestCompiledPatterns:
     def test_analysis_plans_hold_only_generated_names(self, plan_texts, corpus_programs):
         for naive in (False, True):
             analysis.analyze(corpus_programs["17_vanhorn"], config(m=1), naive=naive)
-        assert len(plan_texts) > 50
+        # 17_vanhorn at m=1: 8 semi-naive joins, then one naive join per rule.
+        assert len(plan_texts) == 8 + 40
         for text in plan_texts:
             for name in plan_names(text) - PLAN_WORDS:
                 assert re.fullmatch(r"[tKCFRIO][0-9]+", name), (name, text)
@@ -491,8 +505,8 @@ class TestCompiledPatterns:
 
 
 class TestSharedPrefix:
-    """Delta plans whose first two steps match run as one pass: one loop
-    over the delta, one index lookup, then each rule's block in order."""
+    """Plans of one join whose second steps are the same index lookup share
+    its loop, then each rule's block in order."""
 
     RELATIONS = {"ev": 2, "frame": 2, "hit": 3}
 
@@ -528,7 +542,7 @@ class TestSharedPrefix:
             "frame": {(1, a0), (1, b1), (1, Number(3)), (1, Number(8)), (2, Number(4)), (2, c0)},
         }
         rs = build_ruleset(self.RELATIONS, self.rules())
-        (fused,) = [j for s in engine._program(rs, False) for j in s.joins if j.delta_rel == "ev"]
+        (fused,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "ev"]
         assert [b for b in fused.bindings if b.kind == "I"] == [("I", "frame", (0,))]
         out = saturate_both_ways(self.RELATIONS, self.rules(), facts)
         assert out.tuples("hit") == {
@@ -550,7 +564,7 @@ class TestSharedPrefix:
         ruleset = build_analysis_ruleset(config(m=m))
         frame_rules = [r for r in ruleset.rules if [a.rel for a in r.body[:2]] == ["state_a", "stored_kont"]]
         assert len(frame_rules) == 11
-        joins = [j for s in engine._program(ruleset, False) for j in s.joins if j.delta_rel == "state_a"]
+        joins = [j for s in engine._program(ruleset, False) for j in s.joins if j.rel == "state_a"]
         (fused,) = [j for j in joins if ("I", "stored_kont", (0,)) in j.bindings]
         # One appender per head of each of the eleven rules.
         assert sum(b.kind == "O" for b in fused.bindings) == sum(len(r.heads) for r in frame_rules)
@@ -577,6 +591,97 @@ class TestSharedPrefix:
         assert out.tuples("right") == {(1, (1, -2)), (3, (3, -4))}
         firings = 2 * (stats.rounds if naive else 1)
         assert sorted(calls) == ["neg"] * firings + ["pair"] * firings
+
+
+class TestOneJoinPerRelation:
+    """A stratum compiles one join per relation that its plans start with,
+    one loop over the rows it is handed; naive mode one join per rule."""
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["both-branches", "appendix-exact"])
+    def test_semi_naive_loops_once_over_each_first_relation(self, m, mode, plan_texts):
+        rs = build_analysis_ruleset(config(m=m, primval_truthiness=mode))
+        program = engine._program(rs, False)
+        for s in program:
+            rules = [r for r in rs.rules if r.heads[0].rel in s.rels]
+            looped = {a.rel for r in rules for a in r.body if a.rel in s.rels}
+            once = {engine._plan(r, None)[0].rel for r in rules if not {a.rel for a in r.body} & set(s.rels)}
+            assert sorted(j.rel for j in s.joins) == sorted(looped)
+            assert sorted(j.rel for j in s.once) == sorted(once)
+        assert sum(len(s.once) + len(s.joins) for s in program) == len(plan_texts) == 8
+        for text in plan_texts:
+            assert sum(re.fullmatch(r" *for .* in rows:", line) is not None for line in text.splitlines()) == 1
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ["both-branches", "appendix-exact"])
+    def test_naive_compiles_one_join_per_rule(self, m, mode):
+        rs = build_analysis_ruleset(config(m=m, primval_truthiness=mode))
+        program = engine._program(rs, True)
+        assert [s.once for s in program] == [()] * len(program)
+        assert sum(len(s.joins) for s in program) == len(rs.rules) == 40
+
+    def test_no_struct_unpack_binds_nothing(self, plan_texts):
+        for m in (0, 1, 2):
+            for mode in ("both-branches", "appendix-exact"):
+                for naive in (False, True):
+                    engine._program(build_analysis_ruleset(config(m=m, primval_truthiness=mode)), naive)
+        assert plan_texts
+        for text in plan_texts:
+            assert not re.search(r"^ *\(_(, _)*,?\) = ", text, re.M), text
+
+    def test_rules_whose_second_steps_differ_share_the_delta_loop(self):
+        relations = {"reach": 1, "edge": 2, "label": 2, "named": 2}
+        rules = [
+            # Rejects every Bool row (struct) and Number(2) (no label) ...
+            rule("named", [atom("named", v.n, v.c)], [atom("reach", T("Number", v.n)), atom("label", v.n, v.c)]),
+            # ... which the later rule still follows.
+            rule("step", [atom("reach", v.y)], [atom("reach", v.x), atom("edge", v.x, v.y)]),
+            # Derives nothing new, but ties named to reach.
+            rule("echo", [atom("reach", T("Number", v.n))], [atom("named", v.n, WILD)]),
+        ]
+        rs = build_ruleset(relations, rules)
+        (join,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "reach"]
+        assert [b for b in join.bindings if b.kind == "I"] == [("I", "label", (0,)), ("I", "edge", (0,))]
+        n1, n2, n3, yes = Number(1), Number(2), Number(3), Bool("#t")
+        facts = {
+            "reach": {(n1,)},
+            "edge": {(n1, yes), (yes, n2), (n2, n3)},
+            "label": {(1, "one"), (3, "three")},
+        }
+        out = saturate_both_ways(relations, rules, facts)
+        assert out.tuples("reach") == {(n1,), (yes,), (n2,), (n3,)}
+        assert out.tuples("named") == {(1, "one"), (3, "three")}
+
+    def test_second_step_with_nothing_to_look_up(self):
+        relations = {"seen": 1, "next": 2, "other": 1, "pair": 2}
+        rules = [
+            rule("step", [atom("seen", v.y)], [atom("seen", v.x), atom("next", v.x, v.y)]),
+            # other(y) has no column ground by seen(x): it is scanned whole.
+            rule("pair", [atom("pair", v.x, v.y)], [atom("seen", v.x), atom("other", v.y)]),
+            rule("back", [atom("seen", v.y)], [atom("pair", WILD, v.y)]),
+        ]
+        rs = build_ruleset(relations, rules)
+        (join,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "seen"]
+        assert [b[:2] for b in join.bindings if b.kind != "O"] == [("I", "next"), ("R", "other")]
+        facts = {"seen": {("a",)}, "next": {("a", "b"), (1, "c")}, "other": {(1,), (2,)}}
+        out = saturate_both_ways(relations, rules, facts)
+        seen = {"a", "b", 1, 2, "c"}
+        assert out.tuples("seen") == {(x,) for x in seen}
+        assert out.tuples("pair") == {(x, y) for x in seen for y in (1, 2)}
+
+    def test_once_rules_over_one_relation_share_one_join(self):
+        relations = {"edge": 2, "mark": 1, "end": 2}
+        rules = [
+            # Rejects every edge that is not a loop ...
+            rule("self", [atom("end", v.x, "loop")], [atom("edge", v.x, v.x)]),
+            # ... which the later rule still reads.
+            rule("to", [atom("end", v.y, "to")], [atom("edge", WILD, v.y), atom("mark", v.y)]),
+        ]
+        rs = build_ruleset(relations, rules)
+        (stratum,) = [s for s in engine._program(rs, False) if s.rels == ("end",)]
+        assert [j.rel for j in stratum.once] == ["edge"] and stratum.joins == ()
+        out = saturate_both_ways(relations, rules, {"edge": {(1, 1), (1, 2), (2, 3)}, "mark": {(2,), (3,)}})
+        assert out.tuples("end") == {(1, "loop"), (2, "to"), (3, "to")}
 
 
 class TestNoPerRunState:
