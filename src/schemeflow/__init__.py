@@ -14,7 +14,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from schemeflow.analysis import AnalysisConfig, AnalysisResult, analyze
-from schemeflow.frontend import extract_facts, label_program, read_program, read_sexprs
+from schemeflow.frontend import extract_facts, read_program, read_sexprs
 from schemeflow.machine import run_fixpoint
 from schemeflow.termgen import GenSpec, gen_mcfa_worst, gen_vanhorn
 
@@ -23,7 +23,6 @@ __all__ = [
     "AnalysisResult",
     "analyze",
     "extract_facts",
-    "label_program",
     "read_program",
     "read_sexprs",
     "run_fixpoint",

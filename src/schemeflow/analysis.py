@@ -215,11 +215,7 @@ def freevar_rules() -> list[Rule]:
         fv("fv-callcc", [atom("callcc", v.e, v.ev), atom("freevar", v.x, v.ev)]),
         fv("fv-let-binds", [atom("let", v.e, v.binds, WILD), atom("freevar", v.x, v.binds)]),
         fv("fv-let-body", [atom("let", v.e, WILD, v.body), atom("freevar", v.x, v.body)]),
-        fv(
-            "fv-letlist",
-            [atom("let_list", v.e, v.a, v.bind), atom("freevar", v.x, v.bind)],
-            guards=[A(operator.ne, v.x, v.a)],
-        ),
+        fv("fv-letlist", [atom("let_list", v.e, WILD, v.bind), atom("freevar", v.x, v.bind)]),
     ]
 
 

@@ -96,7 +96,7 @@ def _load(args: argparse.Namespace) -> LabeledProgram:
         raise ValidationError(f"cannot read {path}: {ex.strerror}") from None
     except UnicodeDecodeError as ex:
         raise ValidationError(f"cannot read {path}: not UTF-8 text ({ex.reason})") from None
-    return read_program(text, allow_quote=args.allow_quote)
+    return read_program(text)
 
 
 def _report(
@@ -212,7 +212,6 @@ def _parser() -> argparse.ArgumentParser:
     def add_program_cmd(name: str, func, help_text: str, *, config: bool, out: bool):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("program", help="input .scm file")
-        p.add_argument("--allow-quote", action="store_true", help="accept quoted data as inert")
         if config:
             _add_config_args(p)
         if out:

@@ -633,7 +633,7 @@ def _compile(plans: Sequence[tuple[Rule, list[_Step]]]) -> _Join:
     return src.join(first.rel)
 
 
-# The analysis rule sets compile to 39 distinct texts over m=0..2, both
+# The analysis rule sets compile to 38 distinct texts over m=0..2, both
 # truthiness modes, semi-naive and naive; the memo holds them all with room
 # to spare (tests/test_engine.py checks that it never evicts).
 @functools.lru_cache(maxsize=256)

@@ -1,10 +1,11 @@
 """Reading, labeling, validating, and flattening Scheme source.
 
 The pipeline is ``read_sexprs`` (text -> s-expressions with positions),
-``label_program`` (one top-level form -> :class:`LabeledProgram` with a
+``read_program`` (the one top-level form -> :class:`LabeledProgram` with a
 unique label per sub-expression and globally unique variable names), and
 ``extract_facts`` (program -> :class:`EDB`, the flat input relations the
-analysis consumes).
+analysis consumes).  The language is the one the analysis gives a value
+to: ``quote`` is rejected, because no rule evaluates a quoted datum.
 
 Every binder is renamed to ``name~N``; ``~`` is rejected in identifiers, so
 a renamed variable's source name is ``name.split("~")[0]`` and a free
@@ -179,17 +180,6 @@ class CallNode(NamedTuple):
     args: tuple[Label, ...]
 
 
-class QuoteNode(NamedTuple):
-    label: Label
-    datum: Label
-
-
-class DatumNode(NamedTuple):
-    """An inert quoted datum; carries no facts and takes no transitions."""
-
-    label: Label
-
-
 class PrimOpNode(NamedTuple):
     """The operator position of a primitive call."""
 
@@ -205,7 +195,7 @@ class ListMarkerNode(NamedTuple):
 
 Node = (
     NumNode | BoolNode | VarNode | LambdaNode | IfNode | SetNode | CallccNode | LetNode
-    | PrimCallNode | CallNode | QuoteNode | DatumNode | PrimOpNode | ListMarkerNode
+    | PrimCallNode | CallNode | PrimOpNode | ListMarkerNode
 )
 
 
@@ -239,8 +229,7 @@ def _unreserved(sx: SExpr) -> str:
 
 
 class _Builder:
-    def __init__(self, allow_quote: bool) -> None:
-        self.allow_quote = allow_quote
+    def __init__(self) -> None:
         self.nodes: dict[Label, Node] = {}
         self._label_counter = 0
         self._rename_counter = 0
@@ -372,21 +361,8 @@ class _Builder:
         return label
 
     def _build_quote(self, sx: SExpr, env: dict[str, str]) -> Label:
-        if not self.allow_quote:
-            raise ValidationError(
-                "quote is not supported (no transition consumes it); "
-                "pass allow_quote to emit it as dead syntax",
-                sx.line,
-                sx.col,
-            )
-        items = sx.items
-        if len(items) != 2:
-            raise ValidationError("quote expects (quote datum)", sx.line, sx.col)
-        label = self.fresh_label()
-        datum_label = self.fresh_label()
-        self.nodes[label] = QuoteNode(label, datum_label)
-        self.nodes[datum_label] = DatumNode(datum_label)
-        return label
+        message = "quote is not supported: a quoted datum has no value in the analysis"
+        raise ValidationError(message, sx.line, sx.col)
 
     def _build_prim(self, sx: SExpr, env: dict[str, str]) -> Label:
         items = sx.items
@@ -440,17 +416,15 @@ class _Builder:
     }
 
 
-def label_program(forms: list[SExpr], allow_quote: bool = False) -> LabeledProgram:
-    """Label one top-level form in pre-order and alpha-rename its binders."""
+def read_program(text: str) -> LabeledProgram:
+    """Read the one top-level form of ``text``, label it in pre-order and
+    alpha-rename its binders."""
+    forms = read_sexprs(text)
     if len(forms) != 1:
         raise ValidationError(f"expected exactly one top-level expression, got {len(forms)}")
-    builder = _Builder(allow_quote)
+    builder = _Builder()
     root = builder.build(forms[0], {})
     return LabeledProgram(root, builder.nodes)
-
-
-def read_program(text: str, allow_quote: bool = False) -> LabeledProgram:
-    return label_program(read_sexprs(text), allow_quote)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +437,9 @@ def free_vars(p: LabeledProgram) -> dict[Label, tuple[str, ...]]:
 
     Deliberate quirks, identical to the deductive rules: a multi-parameter
     lambda keeps any body variable for which *some other* parameter exists;
-    a let's body is not filtered by the let's binding names (only each
-    binding expression is filtered by its own name); and the target of a
-    ``set!`` is not itself a use.
+    a let's body is not filtered by the let's binding names, nor a binding
+    expression by its own name, which alpha-renaming keeps out of it; and
+    the target of a ``set!`` is not itself a use.
 
     Every label a node reads (a sub-expression, a list marker, a list
     element) is greater than its own, so one pass in descending label order
@@ -493,12 +467,12 @@ def free_vars(p: LabeledProgram) -> dict[Label, tuple[str, ...]]:
         elif isinstance(node, ListMarkerNode):
             owner = nodes[node.owner]
             if isinstance(owner, LetNode):
-                fv = {x for renamed, expr in owner.bindings for x in out[expr] if x != renamed}
+                fv = {x for _, expr in owner.bindings for x in out[expr]}
             elif isinstance(owner, LambdaNode):
                 fv = set()  # a parameter list: no freevar rule mentions it
             else:
                 fv = {x for arg in owner.args for x in out[arg]}
-        else:  # numbers, booleans, quotations and primitive operators
+        else:  # numbers, booleans and primitive operators
             fv = set()
         out[e] = tuple(sorted(fv))
     return out
@@ -519,7 +493,6 @@ EDB_SCHEMA: dict[str, int] = {
     "var": 2,
     "num": 2,
     "bool": 2,
-    "quotation": 2,
     "if": 4,
     "setb": 3,
     "callcc": 2,
@@ -575,7 +548,5 @@ def extract_facts(p: LabeledProgram) -> EDB:
             facts["call"].add((label, node.func, node.args_label))
             for pos, arg in enumerate(node.args):
                 facts["call_arg_list"].add((node.args_label, pos, arg))
-        elif isinstance(node, QuoteNode):
-            facts["quotation"].add((label, node.datum))
-        # ListMarkerNode / DatumNode / PrimOpNode own no facts of their own.
+        # ListMarkerNode / PrimOpNode own no facts of their own.
     return EDB(facts)

@@ -8,17 +8,19 @@ deductive rule of the analysis module head-for-head (flow edges included),
 so for any program and configuration the two paths must produce identical
 relation sets — that equality is the core differential test.
 
-The transitions are two tables of plain functions: ``_EVAL`` maps each node
-class to its eval transition and ``_APPLY`` maps each continuation-frame
-class to its apply transition; inert nodes and the halt frame map to a
-no-op.  The first argument of a transition is always a ``Machine``: the
-transition reads the program, the configuration and the value store where
-the machine keeps them, and hands every fact it derives to the machine's
-``emit``.  ``recheck`` is a run of the same machine over a finished result,
-on a ``Machine`` whose ``emit`` raises unless the fact is already present:
-``start`` checks the premises (the ``freevar`` rows and the injected root
-facts), then every result row goes through its relation's handler, store
-rows first.  Each transition and each join is thus defined once for both.
+The transitions are two tables of plain functions: ``_EVAL`` maps each
+expression node class to its eval transition and ``_APPLY`` maps each
+continuation-frame class to its apply transition; the halt frame maps to a
+no-op.  A ``state_e`` row only ever names an expression, so operator and
+list-marker labels have none.  The first argument of a transition is always
+a ``Machine``: the transition reads the program, the configuration and the
+value store where the machine keeps them, and hands every fact it derives
+to the machine's ``emit``.  ``recheck`` is a run of the same machine over a
+finished result, on a ``Machine`` whose ``emit`` raises unless the fact is
+already present: ``start`` checks the premises (the ``freevar`` rows and
+the injected root facts), then every result row goes through its relation's
+handler, store rows first.  Each transition and each join is thus defined
+once for both.
 
 The driver is event-based: each newly added fact (state, store entry, or
 context copy) is processed exactly once, by the handler that
@@ -40,16 +42,12 @@ from schemeflow.frontend import (
     BoolNode,
     CallNode,
     CallccNode,
-    DatumNode,
     IfNode,
     LabeledProgram,
     LambdaNode,
     LetNode,
-    ListMarkerNode,
     NumNode,
     PrimCallNode,
-    PrimOpNode,
-    QuoteNode,
     SetNode,
     VarNode,
     extract_facts,
@@ -162,10 +160,6 @@ def _eval_prim(s, node: PrimCallNode, e: Label, ctx: Context, ak: KAddr) -> None
     _eval_sub(s.emit, e, ea0, ctx, Prim1K(node.op_name, ea1, ctx, ak))
 
 
-def _eval_inert(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
-    """Quoted data and auxiliary labels have no successors."""
-
-
 _EVAL = {
     NumNode: _eval_num,
     BoolNode: _eval_bool,
@@ -177,10 +171,6 @@ _EVAL = {
     CallNode: _eval_call,
     LetNode: _eval_let,
     PrimCallNode: _eval_prim,
-    QuoteNode: _eval_inert,
-    DatumNode: _eval_inert,
-    PrimOpNode: _eval_inert,
-    ListMarkerNode: _eval_inert,
 }
 
 
@@ -354,7 +344,7 @@ def _on_state_e(m: "Machine", row: tuple) -> None:
     e, ctx, ak = row
     node = m.program.nodes[e]
     if m.trace is not None:
-        m._t(_EVAL_RULE_NAMES.get(type(node), "e-dead"), e, ctx, ak)
+        m._t(_EVAL_RULE_NAMES[type(node)], e, ctx, ak)
     if isinstance(node, VarNode):
         m.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
     _EVAL[type(node)](m, node, e, ctx, ak)

@@ -34,7 +34,6 @@ FACT_FILES = {
     "num.facts",
     "prim.facts",
     "prim_call.facts",
-    "quotation.facts",
     "setb.facts",
     "top_exp.facts",
     "var.facts",
@@ -320,6 +319,30 @@ class TestFailureModes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: 2:4: integer literal too long ({int_digits_limit + 1} characters)\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["facts", "analyze", "oracle", "diff"])
+    def test_quote_exits_1_at_its_position(self, command, tmp_path, capsys):
+        bad = tmp_path / "quote.scm"
+        bad.write_text("(let ((x (quote a))) 5)")
+        argv = [command, str(bad)] + ([] if command == "diff" else ["--out", str(tmp_path / "x")])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = "quote is not supported: a quoted datum has no value in the analysis"
+        assert captured.err == f"error: 1:10: {message}\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["facts", "analyze", "oracle", "diff"])
+    def test_allow_quote_is_a_usage_error(self, command, tmp_path, program_file):
+        argv = [command, str(program_file), "--allow-quote"]
+        argv += [] if command == "diff" else ["--out", str(tmp_path / "x")]
+        proc = subprocess.run([sys.executable, "-m", "schemeflow", *argv], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        usage, error = proc.stderr.splitlines()
+        assert usage.startswith("usage: schemeflow ")
+        assert error == "schemeflow: error: unrecognized arguments: --allow-quote"
         assert not (tmp_path / "x").exists()
 
     def test_fact_ceiling_exits_2(self, tmp_path, monkeypatch, capsys):

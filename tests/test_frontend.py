@@ -116,10 +116,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             read_program("(quote x)")
 
-    def test_quote_allowed_with_flag(self):
-        p = read_program("(quote x)", allow_quote=True)
-        edb = extract_facts(p)
-        assert len(edb.facts["quotation"]) == 1
+    def test_quote_rejected_at_its_position(self):
+        with pytest.raises(ValidationError) as info:
+            read_program("(let ((x\n   (quote a)))\n  5)")
+        assert str(info.value) == "2:4: quote is not supported: a quoted datum has no value in the analysis"
+        assert (info.value.line, info.value.col) == (2, 4)
 
     def test_tilde_identifiers_reserved(self):
         with pytest.raises(ValidationError):
@@ -288,11 +289,11 @@ class TestFreeVars:
         texts = [path.read_text() for path in CORPUS] + [
             gen_vanhorn(),
             *(gen_mcfa_worst(GenSpec(n, k, p)) for n, k, p in GENERATED_CELLS),
-            "(let ((a (quote (1 2))) (b (lambda (x y) (+ x y))))"
+            "(let ((a 1) (b (lambda (x y) (+ x y))))"
             " (b a (call/cc (lambda (k) (set! a (if #t k 0))))))",
         ]
         for text in texts:
-            p = read_program(text, allow_quote=True)
+            p = read_program(text)
             assert list(p.nodes) == [L(n) for n in range(len(p.nodes))]
             for label, node in p.nodes.items():
                 for read in labels_read(p, node):

@@ -17,7 +17,6 @@ from schemeflow.machine import (
     _EVAL,
     _EVAL_RULE_NAMES,
     Machine,
-    _eval_inert,
     recheck,
     run_fixpoint,
 )
@@ -268,9 +267,16 @@ class TestTables:
             cls for cls in vars(frontend).values() if isinstance(cls, type) and cls.__name__.endswith("Node")
         }
         assert set(typing.get_args(frontend.Node)) == nodes
-        assert set(_EVAL) == nodes
-        # The inert classes are those that no eval rule names.
-        assert {cls for cls, step in _EVAL.items() if step is not _eval_inert} == set(_EVAL_RULE_NAMES)
+        # Operator and list-marker labels are never evaluated.
+        expressions = nodes - {frontend.PrimOpNode, frontend.ListMarkerNode}
+        assert set(_EVAL) == set(_EVAL_RULE_NAMES) == expressions
+
+    def test_every_state_e_label_is_an_expression(self, corpus_results):
+        """Neither path evaluates an operator or list-marker label, so
+        ``_EVAL`` needs no transition for them."""
+        for cell, program, cfg, relations in corpus_results:
+            for e, _, _ in relations["state_e"]:
+                assert type(program.nodes[e]) in _EVAL, (cell, e)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_steps_count_the_event_rows(self, m, corpus_programs):
