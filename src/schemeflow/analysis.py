@@ -8,6 +8,13 @@ construction.  Where the reference set spells a conditional's truthiness as
 one rule per value shape, two rules test the value with a guard.
 ``analyze`` extracts facts, installs every group, saturates, and returns
 the derived relations.
+
+A head group that several rules share is built by one helper, named after
+the machine transition that emits the same facts: ``_eval_sub`` (evaluate a
+sub-expression under a new frame, with its flow edge), ``_arrive`` (an
+atomic expression's value), ``_enter`` (closure entry) and ``_return`` (a
+value handed to a continuation).  Every apply rule's body starts with
+``_apply``: a value at a continuation address, joined with a frame there.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import operator
 
 from schemeflow.engine import (
     A,
+    Atom,
     Rule,
     RuleSet,
     T,
@@ -219,85 +227,82 @@ def freevar_rules() -> list[Rule]:
     ]
 
 
-def _ka(e, ctx):
-    """The continuation address of ``e`` evaluated in ``ctx``."""
-    return T("KAddress", e, ctx)
+# The head groups that several rules share, named after the machine
+# transitions that emit them.
+
+
+def _eval_sub(src, sub, ctx, frame, flow: str) -> list[Atom]:
+    """Evaluate ``sub`` in ``ctx`` under ``frame``; ``src`` flows into it
+    through the relation ``flow``."""
+    ka = T("KAddress", sub, ctx)
+    return [atom("state_e", sub, ctx, ka), atom("stored_kont", ka, frame), atom(flow, src, sub)]
+
+
+def _arrive(e, val, ak) -> list[Atom]:
+    """The atomic expression at ``e`` evaluates to ``val`` at ``ak``."""
+    return [atom("state_a", val, ak), atom("flow_ea", e, val)]
+
+
+def _enter(arg, src) -> list[Atom]:
+    """Enter the closure of lambda ``elam`` from ``ctx_clo`` in ``ectx``:
+    ``arg`` is bound to its parameter ``x`` and ``src`` flows into its body."""
+    return [
+        atom("state_e", v.ebody, v.ectx, v.next_ak),
+        atom("stored_val", T("VAddress", v.x, v.ectx), arg),
+        atom("copy_ctx", v.ctx_clo, v.ectx, v.elam),
+        atom("flow_ae", src, v.ebody),
+    ]
+
+
+def _return(val, out, k) -> list[Atom]:
+    """Continuation ``k`` receives ``out``, into which ``val`` flows."""
+    return [atom("state_a", out, k), atom("flow_aa", val, out)]
+
+
+def _apply(val, frame) -> list[Atom]:
+    """``val`` reaches the continuation address ``ak``, which holds ``frame``."""
+    return [atom("state_a", val, v.ak), atom("stored_kont", v.ak, frame)]
 
 
 def eval_rules() -> list[Rule]:
+    def ev(name: str, sub, frame, body: list[Atom], heads=()) -> Rule:
+        return rule(
+            name,
+            heads=[*_eval_sub(v.e, sub, v.ctx, frame, "flow_ee"), *heads],
+            body=[atom("state_e", v.e, v.ctx, v.ak), *body],
+        )
+
     return [
-        rule(
-            "e-if",
-            heads=[
-                atom("state_e", v.eg, v.ctx, _ka(v.eg, v.ctx)),
-                atom("stored_kont", _ka(v.eg, v.ctx), T("If", v.et, v.ef, v.ctx, v.ak)),
-                atom("flow_ee", v.e, v.eg),
-            ],
-            body=[atom("state_e", v.e, v.ctx, v.ak), atom("if", v.e, v.eg, v.et, v.ef)],
-        ),
-        rule(
+        ev("e-if", v.eg, T("If", v.et, v.ef, v.ctx, v.ak), [atom("if", v.e, v.eg, v.et, v.ef)]),
+        ev(
             "e-callcc",
-            heads=[
-                atom("state_e", v.elam, v.ctx, _ka(v.elam, v.ctx)),
-                atom("stored_kont", _ka(v.elam, v.ctx), T("Callcc", v.ectx, v.ak)),
-                atom("flow_ee", v.e, v.elam),
-            ],
-            body=[
-                atom("state_e", v.e, v.ctx, v.ak),
-                atom("callcc", v.e, v.elam),
-                atom("peek_ctx", v.e, v.ctx, v.ectx),
-            ],
+            v.elam,
+            T("Callcc", v.ectx, v.ak),
+            [atom("callcc", v.e, v.elam), atom("peek_ctx", v.e, v.ctx, v.ectx)],
         ),
-        rule(
-            "e-set",
-            heads=[
-                atom("state_e", v.ev, v.ctx, _ka(v.ev, v.ctx)),
-                atom("stored_kont", _ka(v.ev, v.ctx), T("Set", T("VAddress", v.x, v.ctx), v.ak)),
-                atom("flow_ee", v.e, v.ev),
-            ],
-            body=[atom("state_e", v.e, v.ctx, v.ak), atom("setb", v.e, v.x, v.ev)],
-        ),
-        rule(
+        ev("e-set", v.ev, T("Set", T("VAddress", v.x, v.ctx), v.ak), [atom("setb", v.e, v.x, v.ev)]),
+        ev(
             "e-call",
-            heads=[
-                atom("state_e", v.efunc, v.ctx, _ka(v.efunc, v.ctx)),
-                atom("stored_kont", _ka(v.efunc, v.ctx), T("Arg", v.eargs, v.ctx, v.ectx, v.ak)),
-                atom("flow_ee", v.e, v.efunc),
-            ],
-            body=[
-                atom("state_e", v.e, v.ctx, v.ak),
-                atom("call", v.e, v.efunc, v.eargs),
-                atom("peek_ctx", v.e, v.ctx, v.ectx),
-            ],
+            v.efunc,
+            T("Arg", v.eargs, v.ctx, v.ectx, v.ak),
+            [atom("call", v.e, v.efunc, v.eargs), atom("peek_ctx", v.e, v.ctx, v.ectx)],
         ),
-        rule(
+        ev(
             "e-let",
-            heads=[
-                atom("state_e", v.ebnd, v.ctx, _ka(v.ebnd, v.ctx)),
-                atom(
-                    "stored_kont",
-                    _ka(v.ebnd, v.ctx),
-                    T("Let", T("VAddress", v.x, v.ectx), v.ebody, v.ectx, v.ak),
-                ),
-                atom("copy_ctx", v.ctx, v.ectx, v.e),
-                atom("flow_ee", v.e, v.ebnd),
-            ],
-            body=[
-                atom("state_e", v.e, v.ctx, v.ak),
+            v.ebnd,
+            T("Let", T("VAddress", v.x, v.ectx), v.ebody, v.ectx, v.ak),
+            [
                 atom("let", v.e, v.ll, v.ebody),
                 atom("let_list", v.ll, v.x, v.ebnd),
                 atom("peek_ctx", v.e, v.ctx, v.ectx),
             ],
+            heads=[atom("copy_ctx", v.ctx, v.ectx, v.e)],
         ),
-        rule(
+        ev(
             "e-prim",
-            heads=[
-                atom("state_e", v.ea0, v.ctx, _ka(v.ea0, v.ctx)),
-                atom("stored_kont", _ka(v.ea0, v.ctx), T("Prim1", v.opname, v.ea1, v.ctx, v.ak)),
-                atom("flow_ee", v.e, v.ea0),
-            ],
-            body=[
-                atom("state_e", v.e, v.ctx, v.ak),
+            v.ea0,
+            T("Prim1", v.opname, v.ea1, v.ctx, v.ak),
+            [
                 atom("prim_call", v.e, v.opid, v.pl),
                 atom("prim", v.opid, v.opname),
                 atom("call_arg_list", v.pl, 0, v.ea0),
@@ -311,31 +316,22 @@ def atomic_rules() -> list[Rule]:
     return [
         rule(
             "a-num",
-            heads=[
-                atom("state_a", T("Number", v.n), v.ak),
-                atom("flow_ea", v.e, T("Number", v.n)),
-            ],
+            heads=_arrive(v.e, T("Number", v.n), v.ak),
             body=[atom("state_e", v.e, WILD, v.ak), atom("num", v.e, v.n)],
         ),
         rule(
             "a-bool",
-            heads=[
-                atom("state_a", T("Bool", v.b), v.ak),
-                atom("flow_ea", v.e, T("Bool", v.b)),
-            ],
+            heads=_arrive(v.e, T("Bool", v.b), v.ak),
             body=[atom("state_e", v.e, WILD, v.ak), atom("bool", v.e, v.b)],
         ),
         rule(
             "a-lambda",
-            heads=[
-                atom("state_a", T("Closure", v.e, v.ctx), v.ak),
-                atom("flow_ea", v.e, T("Closure", v.e, v.ctx)),
-            ],
+            heads=_arrive(v.e, T("Closure", v.e, v.ctx), v.ak),
             body=[atom("state_e", v.e, v.ctx, v.ak), atom("lambda", v.e, WILD, WILD)],
         ),
         rule(
             "a-var",
-            heads=[atom("state_a", v.val, v.ak), atom("flow_ea", v.e, v.val)],
+            heads=_arrive(v.e, v.val, v.ak),
             body=[
                 atom("state_e", v.e, v.ctx, v.ak),
                 atom("var", v.e, v.x),
@@ -374,10 +370,7 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
                 atom("state_e", v.et, v.ctx_k, v.next_ak),
                 atom("flow_ae", T("Bool", "#t"), v.et),
             ],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("If", v.et, WILD, v.ctx_k, v.next_ak)),
-            ],
+            body=_apply(v.val, T("If", v.et, WILD, v.ctx_k, v.next_ak)),
             guards=[A(truthy, v.val)],
         ),
         rule(
@@ -386,77 +379,46 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
                 atom("state_e", v.ef, v.ctx_k, v.next_ak),
                 atom("flow_ae", T("Bool", "#f"), v.ef),
             ],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("If", WILD, v.ef, v.ctx_k, v.next_ak)),
-            ],
+            body=_apply(v.val, T("If", WILD, v.ef, v.ctx_k, v.next_ak)),
             guards=[A(falsy, v.val)],
         ),
         rule(
             "a-callcc",
-            heads=[
-                atom("state_e", v.ebody, v.ectx, v.next_ak),
-                atom("stored_val", T("VAddress", v.x, v.ectx), T("Kont", v.ak)),
-                atom("copy_ctx", v.ctx_clo, v.ectx, v.elam),
-                atom("flow_ae", T("Closure", v.elam, v.ctx_clo), v.ebody),
-            ],
+            heads=_enter(T("Kont", v.ak), T("Closure", v.elam, v.ctx_clo)),
             body=[
-                atom("state_a", T("Closure", v.elam, v.ctx_clo), v.ak),
-                atom("stored_kont", v.ak, T("Callcc", v.ectx, v.next_ak)),
+                *_apply(T("Closure", v.elam, v.ctx_clo), T("Callcc", v.ectx, v.next_ak)),
                 atom("lambda", v.elam, v.params, v.ebody),
                 atom("lambda_arg_list", v.params, 0, v.x),
             ],
         ),
         rule(
             "a-callcc-kont",
-            heads=[
-                atom("state_a", T("Kont", v.ak), v.bk),
-                atom("flow_aa", T("Kont", v.bk), T("Kont", v.ak)),
-            ],
-            body=[
-                atom("state_a", T("Kont", v.bk), v.ak),
-                atom("stored_kont", v.ak, T("Callcc", WILD, WILD)),
-            ],
+            heads=_return(T("Kont", v.bk), T("Kont", v.ak), v.bk),
+            body=_apply(T("Kont", v.bk), T("Callcc", WILD, WILD)),
         ),
         rule(
             "a-arg",
-            heads=[
-                atom("state_e", v.earg, v.ctx, _ka(v.earg, v.ctx)),
-                atom("stored_kont", _ka(v.earg, v.ctx), T("Fn", v.val, v.pos, v.ectx, v.next_ak)),
-                atom("flow_ae", v.val, v.earg),
-            ],
+            heads=_eval_sub(
+                v.val, v.earg, v.ctx, T("Fn", v.val, v.pos, v.ectx, v.next_ak), "flow_ae"
+            ),
             body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("Arg", v.eargs, v.ctx, v.ectx, v.next_ak)),
+                *_apply(v.val, T("Arg", v.eargs, v.ctx, v.ectx, v.next_ak)),
                 atom("call_arg_list", v.eargs, v.pos, v.earg),
             ],
         ),
         rule(
             "a-call",
-            heads=[
-                atom("state_e", v.ebody, v.ectx, v.next_ak),
-                atom("stored_val", T("VAddress", v.x, v.ectx), v.val),
-                atom("copy_ctx", v.ctx_clo, v.ectx, v.elam),
-                atom("flow_ae", v.val, v.ebody),
-            ],
+            heads=_enter(v.val, v.val),
             body=[
-                atom("state_a", v.val, v.ak),
-                atom(
-                    "stored_kont",
-                    v.ak,
-                    T("Fn", T("Closure", v.elam, v.ctx_clo), v.pos, v.ectx, v.next_ak),
-                ),
+                *_apply(v.val, T("Fn", T("Closure", v.elam, v.ctx_clo), v.pos, v.ectx, v.next_ak)),
                 atom("lambda", v.elam, v.params, v.ebody),
                 atom("lambda_arg_list", v.params, v.pos, v.x),
             ],
         ),
         rule(
             "a-call-kont",
-            heads=[atom("state_a", v.val, v.ck), atom("flow_aa", v.val, v.val)],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("Fn", T("Kont", v.ck), 0, WILD, WILD)),
-            ],
+            heads=_return(v.val, v.val, v.ck),
+            body=_apply(v.val, T("Fn", T("Kont", v.ck), 0, WILD, WILD)),
         ),
         rule(
             "a-let",
@@ -465,45 +427,22 @@ def apply_rules(cfg: AnalysisConfig) -> list[Rule]:
                 atom("stored_val", v.av, v.val),
                 atom("flow_ae", v.val, v.ebody),
             ],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("Let", v.av, v.ebody, v.ctx, v.next_ak)),
-            ],
+            body=_apply(v.val, T("Let", v.av, v.ebody, v.ctx, v.next_ak)),
         ),
         rule(
             "a-prim1",
-            heads=[
-                atom("state_e", v.ea1, v.ctx, _ka(v.ea1, v.ctx)),
-                atom("stored_kont", _ka(v.ea1, v.ctx), T("Prim2", v.op, v.val, v.next_ak)),
-                atom("flow_ae", v.val, v.ea1),
-            ],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("Prim1", v.op, v.ea1, v.ctx, v.next_ak)),
-            ],
+            heads=_eval_sub(v.val, v.ea1, v.ctx, T("Prim2", v.op, v.val, v.next_ak), "flow_ae"),
+            body=_apply(v.val, T("Prim1", v.op, v.ea1, v.ctx, v.next_ak)),
         ),
         rule(
             "a-prim2",
-            heads=[
-                atom("state_a", A(widen, v.op, v.v1, v.v2), v.next_ak),
-                atom("flow_aa", v.v2, A(widen, v.op, v.v1, v.v2)),
-            ],
-            body=[
-                atom("state_a", v.v2, v.ak),
-                atom("stored_kont", v.ak, T("Prim2", v.op, v.v1, v.next_ak)),
-            ],
+            heads=_return(v.v2, A(widen, v.op, v.v1, v.v2), v.next_ak),
+            body=_apply(v.v2, T("Prim2", v.op, v.v1, v.next_ak)),
         ),
         rule(
             "a-set",
-            heads=[
-                atom("state_a", T("Number", -42), v.next_ak),
-                atom("stored_val", v.loc, v.val),
-                atom("flow_aa", v.val, T("Number", -42)),
-            ],
-            body=[
-                atom("state_a", v.val, v.ak),
-                atom("stored_kont", v.ak, T("Set", v.loc, v.next_ak)),
-            ],
+            heads=[*_return(v.val, T("Number", -42), v.next_ak), atom("stored_val", v.loc, v.val)],
+            body=_apply(v.val, T("Set", v.loc, v.next_ak)),
         ),
     ]
 

@@ -34,6 +34,17 @@ from schemeflow.terms import Label
 PRIM_OPS = frozenset({"+", "-", "*", "=", "<", "cons", "car", "cdr", "and", "or"})
 
 _INT_RE = re.compile(r"^-?[0-9]+$")
+# The tokens Scheme reads as a number (R7RS decimal syntax: integers,
+# decimals, exponents, ratios, infinities, NaNs and complex forms).  Only
+# the integers ``_INT_RE`` matches are supported; the rest are unsupported
+# literals, never identifiers.  Each starts with a sign, a digit or a dot,
+# and the lookahead fails any other token at its first character.
+_UREAL = r"(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?)"
+_REAL = rf"(?:[+-]?{_UREAL}|[+-](?:inf|nan)\.0)"
+_NUMBER_RE = re.compile(
+    rf"(?=[-+.0-9])(?:{_REAL}(?:@{_REAL})?|{_REAL}?[+-](?:{_UREAL}|inf\.0|nan\.0)?i)",
+    re.IGNORECASE,
+)
 _BAD_IDENT_CHARS = set("()[]'\"`,;#")
 
 
@@ -212,7 +223,7 @@ class LabeledProgram:
 # ---------------------------------------------------------------------------
 
 def _is_identifier(tok: str) -> bool:
-    if not tok or _INT_RE.match(tok) or tok in ("#t", "#f"):
+    if not tok or _NUMBER_RE.fullmatch(tok) or tok in ("#t", "#f"):
         return False
     return _BAD_IDENT_CHARS.isdisjoint(tok)
 

@@ -22,6 +22,13 @@ the injected root facts), then every result row goes through its relation's
 handler, store rows first.  Each transition and each join is thus defined
 once for both.
 
+A group of facts that several transitions emit is emitted by one helper:
+``_eval_sub`` (evaluate a sub-expression under a new frame, from an eval
+transition or from ``_apply_arg``/``_apply_prim1``), ``_arrive`` (an atomic
+expression's value) and ``_enter`` (closure entry, from ``_apply_fn`` and
+``_apply_callcc``).  The analysis builds the same head groups with helpers
+of the same names.
+
 The driver is event-based: each newly added fact (state, store entry, or
 context copy) is processed exactly once, by the handler that
 ``Machine.HANDLERS`` keys by its relation, and processing joins it against
@@ -96,12 +103,13 @@ def _peek(s, e: Label, ctx: Context) -> Context:
     return ectx
 
 
-def _eval_sub(emit, e: Label, sub: Label, ctx: Context, frame: Term) -> None:
-    """Evaluate ``sub``, a sub-expression of ``e``, in ``ctx`` under ``frame``."""
+def _eval_sub(emit, src: Term, sub: Label, ctx: Context, frame: Term, flow: str) -> None:
+    """Evaluate ``sub`` in ``ctx`` under ``frame``; ``src`` flows into it
+    through the relation ``flow``."""
     ka = KAddr(sub, ctx)
     emit("state_e", (sub, ctx, ka))
     emit("stored_kont", (ka, frame))
-    emit("flow_ee", (e, sub))
+    emit(flow, (src, sub))
 
 
 def _arrive(emit, e: Label, val: Term, ak: KAddr) -> None:
@@ -130,34 +138,34 @@ def _eval_lambda(s, node: LambdaNode, e: Label, ctx: Context, ak: KAddr) -> None
 
 
 def _eval_if(s, node: IfNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _eval_sub(s.emit, e, node.guard, ctx, IfK(node.then, node.other, ctx, ak))
+    _eval_sub(s.emit, e, node.guard, ctx, IfK(node.then, node.other, ctx, ak), "flow_ee")
 
 
 def _eval_set(s, node: SetNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _eval_sub(s.emit, e, node.expr, ctx, SetK(VAddr(node.target, ctx), ak))
+    _eval_sub(s.emit, e, node.expr, ctx, SetK(VAddr(node.target, ctx), ak), "flow_ee")
 
 
 def _eval_callcc(s, node: CallccNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
-    _eval_sub(s.emit, e, node.expr, ctx, CallccK(ectx, ak))
+    _eval_sub(s.emit, e, node.expr, ctx, CallccK(ectx, ak), "flow_ee")
 
 
 def _eval_call(s, node: CallNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
-    _eval_sub(s.emit, e, node.func, ctx, ArgK(node.args_label, ctx, ectx, ak))
+    _eval_sub(s.emit, e, node.func, ctx, ArgK(node.args_label, ctx, ectx, ak), "flow_ee")
 
 
 def _eval_let(s, node: LetNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
     emit = s.emit
     for renamed, bexpr in node.bindings:
-        _eval_sub(emit, e, bexpr, ctx, LetK(VAddr(renamed, ectx), node.body, ectx, ak))
+        _eval_sub(emit, e, bexpr, ctx, LetK(VAddr(renamed, ectx), node.body, ectx, ak), "flow_ee")
     emit("copy_ctx", (ctx, ectx, e))
 
 
 def _eval_prim(s, node: PrimCallNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ea0, ea1 = node.args
-    _eval_sub(s.emit, e, ea0, ctx, Prim1K(node.op_name, ea1, ctx, ak))
+    _eval_sub(s.emit, e, ea0, ctx, Prim1K(node.op_name, ea1, ctx, ak), "flow_ee")
 
 
 _EVAL = {
@@ -174,47 +182,50 @@ _EVAL = {
 }
 
 
-def _truthy(cfg: AnalysisConfig, val: Term) -> bool:
-    if val.tag in ("Closure", "Number", "Kont"):
-        return True
+def _branch_tests(cfg: AnalysisConfig, val: Term) -> tuple[bool, bool]:
+    """Whether a conditional whose guard is ``val`` takes its then and its
+    else branch.  An opaque value (PrimVal, NumTop) takes both in
+    both-branches mode and neither in appendix-exact mode."""
     if val.tag == "Bool":
-        return val.args[0] == "#t"
-    return cfg.primval_truthiness == "both-branches"  # PrimVal, NumTop
+        return val.args[0] == "#t", val.args[0] == "#f"
+    if val.tag in ("Closure", "Number", "Kont"):
+        return True, False
+    opaque = cfg.primval_truthiness == "both-branches"
+    return opaque, opaque
 
 
-def _falsy(cfg: AnalysisConfig, val: Term) -> bool:
-    if val.tag == "Bool":
-        return val.args[0] == "#f"
-    if val.tag in ("Closure", "Number", "Kont"):
-        return False
-    return cfg.primval_truthiness == "both-branches"
+def _enter(s, clo: Term, pos: int, arg: Term, ectx: Context, next_ak: KAddr, src: Term) -> None:
+    """Enter closure ``clo`` in ``ectx`` with ``arg`` bound to its parameter
+    ``pos``, if it has one; ``src`` flows into its body."""
+    elam, ctx_clo = clo.args
+    lam = s.program.nodes[elam]
+    if pos < len(lam.params):
+        emit = s.emit
+        emit("state_e", (lam.body, ectx, next_ak))
+        emit("stored_val", (VAddr(lam.params[pos], ectx), arg))
+        emit("copy_ctx", (ctx_clo, ectx, elam))
+        emit("flow_ae", (src, lam.body))
 
 
 def _apply_if(s, val: Term, ak: KAddr, frame: IfK) -> None:
     et, ef, ctx_k, next_ak = frame.args
+    then, other = _branch_tests(s.cfg, val)
     emit = s.emit
-    if _truthy(s.cfg, val):
+    if then:
         emit("state_e", (et, ctx_k, next_ak))
         emit("flow_ae", (Bool("#t"), et))
-    if _falsy(s.cfg, val):
+    if other:
         emit("state_e", (ef, ctx_k, next_ak))
         emit("flow_ae", (Bool("#f"), ef))
 
 
 def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
     ectx, next_ak = frame.args
-    emit = s.emit
     if val.tag == "Closure":
-        elam, ctx_clo = val.args
-        lam = s.program.nodes[elam]
-        if lam.params:
-            x = lam.params[0]
-            emit("state_e", (lam.body, ectx, next_ak))
-            emit("stored_val", (VAddr(x, ectx), KontRef(ak)))
-            emit("copy_ctx", (ctx_clo, ectx, elam))
-            emit("flow_ae", (val, lam.body))
+        _enter(s, val, 0, KontRef(ak), ectx, next_ak, val)
     elif val.tag == "Kont":
         (bk,) = val.args
+        emit = s.emit
         emit("state_a", (KontRef(ak), bk))
         emit("flow_aa", (KontRef(bk), KontRef(ak)))
 
@@ -233,26 +244,16 @@ def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
     # ``eargs`` labels the argument list of a call node.
     nodes = s.program.nodes
     for pos, earg in enumerate(nodes[nodes[eargs].owner].args):
-        ka = KAddr(earg, ctx)
-        emit("state_e", (earg, ctx, ka))
-        emit("stored_kont", (ka, FnK(val, pos, ectx, next_ak)))
-        emit("flow_ae", (val, earg))
+        _eval_sub(emit, val, earg, ctx, FnK(val, pos, ectx, next_ak), "flow_ae")
 
 
 def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
     fn, pos, ectx, next_ak = frame.args
-    emit = s.emit
     if fn.tag == "Closure":
-        elam, ctx_clo = fn.args
-        lam = s.program.nodes[elam]
-        if pos < len(lam.params):
-            x = lam.params[pos]
-            emit("state_e", (lam.body, ectx, next_ak))
-            emit("stored_val", (VAddr(x, ectx), val))
-            emit("copy_ctx", (ctx_clo, ectx, elam))
-            emit("flow_ae", (val, lam.body))
+        _enter(s, fn, pos, val, ectx, next_ak, val)
     elif fn.tag == "Kont" and pos == 0:
         (ck,) = fn.args
+        emit = s.emit
         emit("state_a", (val, ck))
         emit("flow_aa", (val, val))
 
@@ -267,11 +268,7 @@ def _apply_let(s, val: Term, ak: KAddr, frame: LetK) -> None:
 
 def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
     op, ea1, ctx, next_ak = frame.args
-    emit = s.emit
-    ka = KAddr(ea1, ctx)
-    emit("state_e", (ea1, ctx, ka))
-    emit("stored_kont", (ka, Prim2K(op, val, next_ak)))
-    emit("flow_ae", (val, ea1))
+    _eval_sub(s.emit, val, ea1, ctx, Prim2K(op, val, next_ak), "flow_ae")
 
 
 def _apply_prim2(s, val: Term, ak: KAddr, frame: Prim2K) -> None:
@@ -540,10 +537,12 @@ class _Recheck(Machine):
 
 
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:
-    """Verify the result is the machine's fixpoint: ``start`` and the handler
-    of every result row derive nothing that is not in it, and ``freevar``
-    holds the program's free variables and nothing else.  Raises
-    ValidationError naming the first fact that is missing or extra.
+    """Verify the result is closed under the machine: ``start`` and the
+    handler of every result row derive nothing that is not in it.  Raises
+    ValidationError naming the first fact derived but missing, a ``freevar``
+    row that is not one of the program's free variables, or a row whose
+    label or frame no transition reads.  Any other extra row is accepted:
+    this checks closure, not leastness.
 
     The store rows go first: no reader is registered yet, so their handlers
     only fill the stores.  Each join then fires once, from its ``state_e``,
@@ -553,9 +552,18 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
     for x, e in relations["freevar"]:
         if x not in chk.free_vars.get(e, ()):
             raise ValidationError(f"not a fixpoint: freevar{(x, e)} is not a premise")
+    nodes = program.nodes
     for rel in ("stored_val", "stored_kont", "state_e", "state_a", "copy_ctx"):
         handler = Machine.HANDLERS[rel]
         for row in relations[rel]:
             chk.source = (rel, *row)
+            # The keys the handlers look up, checked here and not in the
+            # handlers, which the oracle runs on every event.
+            if (
+                (rel == "state_e" and type(nodes.get(row[0])) not in _EVAL)
+                or (rel == "stored_kont" and type(row[1]) not in _APPLY)
+                or (rel == "copy_ctx" and row[2] not in nodes)
+            ):
+                raise ValidationError(f"not a fixpoint: no transition reads {rel}{row}")
             handler(chk, row)
     return True

@@ -334,6 +334,17 @@ class TestFailureModes:
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("command", ["facts", "analyze", "oracle", "diff"])
+    def test_non_integer_number_exits_1_at_its_position(self, command, tmp_path, capsys):
+        bad = tmp_path / "real.scm"
+        bad.write_text("(+ 1\n   1.5)")
+        argv = [command, str(bad)] + ([] if command == "diff" else ["--out", str(tmp_path / "x")])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 2:4: unsupported literal '1.5'\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("command", ["facts", "analyze", "oracle", "diff"])
     def test_allow_quote_is_a_usage_error(self, command, tmp_path, program_file):
         argv = [command, str(program_file), "--allow-quote"]
         argv += [] if command == "diff" else ["--out", str(tmp_path / "x")]

@@ -123,11 +123,31 @@ def test_agreement_survives_widening_choices(corpus_programs):
             )
 
 
-def test_agreement_on_fresh_source_text():
-    """Paths agree on a program built outside the corpus fixtures."""
-    source = "(call/cc (lambda (k) (if (k 1) 2 3)))"
+@pytest.mark.parametrize(
+    "source, m",
+    [
+        pytest.param("(call/cc (lambda (k) (if (k 1) 2 3)))", 2, id="kont-guard-m2"),
+        # A set! whose value reads a variable that its closure captures: the
+        # only derivation of that freevar row is fv-set's.
+        *(
+            pytest.param(
+                "(let ((y 1)) (let ((z 5)) (let ((f (lambda (a) (set! y z)))) (f 2))))",
+                m,
+                id=f"set-reads-free-m{m}",
+            )
+            for m in (0, 1)
+        ),
+        # A call/cc whose lambda reads a free variable: fv-callcc's row.
+        *(
+            pytest.param("(let ((z 5)) (call/cc (lambda (k) z)))", m, id=f"callcc-reads-free-m{m}")
+            for m in (0, 1)
+        ),
+    ],
+)
+def test_agreement_on_fresh_source_text(source, m):
+    """Paths agree on programs built outside the corpus fixtures."""
     program = read_program(source)
-    cfg = config(m=2)
+    cfg = config(m=m)
     left = analyze(program, cfg)
     right = run_fixpoint(program, cfg)
     for name in DERIVED_RELATIONS:

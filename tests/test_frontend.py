@@ -122,6 +122,17 @@ class TestValidation:
         assert str(info.value) == "2:4: quote is not supported: a quoted datum has no value in the analysis"
         assert (info.value.line, info.value.col) == (2, 4)
 
+    @pytest.mark.parametrize("tok", ["1.5", ".5", "1e3", "1/2", "+5", "+inf.0", "1+2i"])
+    def test_non_integer_number_is_an_unsupported_literal(self, tok):
+        with pytest.raises(ValidationError) as info:
+            read_program(f"(+ 1\n   {tok})")
+        assert str(info.value) == f"2:4: unsupported literal {tok!r}"
+
+    @pytest.mark.parametrize("name", ["+", "-", "...", "1+"])
+    def test_identifiers_that_start_like_numbers_stay_variables(self, name):
+        p = read_program(f"(f {name})")
+        assert {node.name for node in p.nodes.values() if isinstance(node, VarNode)} == {"f", name}
+
     def test_tilde_identifiers_reserved(self):
         with pytest.raises(ValidationError):
             read_program("(lambda (a~b) 1)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import typing
 from collections import Counter
 
@@ -383,6 +384,33 @@ class TestRecheck:
         relations[rel].remove(min(rows, key=lambda row: tuple(map(render, row))))
         with pytest.raises(ValidationError, match=rf"^not a fixpoint: \('{source}', "):
             recheck(program, cfg, relations)
+
+    # Rows that no transition reads, added to the result for
+    # ((lambda (x) x) 1): e4 labels its argument list, and e99 no node.
+    @pytest.mark.parametrize(
+        "rel, row",
+        [
+            ("state_e", (L(99), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+            ("state_e", (L(4), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+            ("stored_kont", (KAddr(L(0), EMPTY_CONTEXT), Number(1))),
+            ("copy_ctx", (EMPTY_CONTEXT, EMPTY_CONTEXT, L(99))),
+        ],
+        ids=["state_e-e99", "state_e-list-marker", "stored_kont-number", "copy_ctx-e99"],
+    )
+    def test_malformed_row_is_a_validation_error(self, rel, row):
+        program, cfg = read_program("((lambda (x) x) 1)"), config(m=0)
+        relations = analyze(program, cfg).relations
+        relations[rel].add(row)
+        message = f"not a fixpoint: no transition reads {rel}{row}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            recheck(program, cfg, relations)
+
+    def test_an_extra_row_that_derives_nothing_missing_is_accepted(self):
+        """``recheck`` checks closure, not leastness."""
+        program, cfg = read_program("((lambda (x) x) 1)"), config(m=0)
+        relations = analyze(program, cfg).relations
+        relations["state_a"].add((Number(7), KAddr(L(0), EMPTY_CONTEXT)))
+        assert recheck(program, cfg, relations) is True
 
 
 @pytest.fixture(scope="module")
