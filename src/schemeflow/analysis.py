@@ -147,7 +147,7 @@ def _mk(cfg: AnalysisConfig):
 
 def _widen_pv(cfg: AnalysisConfig):
     def widen(op, v1, v2):
-        return widen_value(PrimVal(op, v1, v2), cfg.widen_depth)
+        return widen_value(PrimVal._pool[op, v1, v2], cfg.widen_depth)
 
     return widen
 
@@ -160,7 +160,7 @@ def inject(edb: EDB, cfg: AnalysisConfig) -> dict[str, set[tuple]]:
         raise ValidationError(f"exactly one top_exp required, got {len(tops)}")
     (root,) = next(iter(tops))
     eps = EMPTY_CONTEXT
-    ak0 = KAddr(root, eps)
+    ak0 = KAddr._pool[root, eps]
     return {
         "state_e": {(root, eps, ak0)},
         "peek_ctx": {(root, eps, make_context(root, eps, cfg.m))},
@@ -348,7 +348,7 @@ def _branch_tests(cfg: AnalysisConfig):
     each to both branches so opaque guards stay sound."""
     opaque = {"PrimVal", "NumTop"} if cfg.primval_truthiness == "both-branches" else set()
     truthy_tags = {"Closure", "Number", "Kont"} | opaque
-    true, false = Bool("#t"), Bool("#f")
+    true, false = Bool._pool["#t",], Bool._pool["#f",]
 
     def truthy(val):
         return val is true or val.tag in truthy_tags

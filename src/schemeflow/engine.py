@@ -27,19 +27,21 @@ with: one ``for`` loop over the rows ``saturate`` hands it (the relation's
 delta, or all of it), then one block per plan in rule order, with nested
 loops over index lookups and relations, unpacking of struct patterns, an
 ``if`` around the rest of the block for each check on a candidate, and
-calls that append each built head row to its relation's buffer.  A builder
-call that the heads of a rule repeat is computed once per firing, into a
-variable.  Plans whose second step is the same index lookup, keyed on the
-same columns of the first atom, share the loop over the rows it finds.  As
-checks nest, a mismatch closes only its own plan's block.  So the
-analysis's main stratum compiles to six joins, and its eleven
-continuation-frame rules share one ``stored_kont`` lookup per ``state_a``
-row.  Naive mode keeps one join per rule as the reference.
+calls that append each built head row to its relation's buffer.  A head
+term is built by subscripting its class's intern pool, so a term that
+exists costs one dict lookup.  A builder call that the heads of a rule
+repeat is computed once per firing, into a variable.  Plans whose second
+step is the same index lookup, keyed on the same columns of the first
+atom, share the loop over the rows it finds.  As checks nest, a mismatch
+closes only its own plan's block.  So the analysis's main stratum compiles
+to six joins, and its eleven continuation-frame rules share one
+``stored_kont`` lookup per ``state_a`` row.  Naive mode keeps one join per
+rule as the reference.
 
 The source text holds only generated names, so one text serves every join
 of its shape.  A rule set keeps its compiled joins, with their constants,
-constructors and builders, per mode from its first run on; a run binds only
-its own relations, indexes and buffers to them.
+term classes, intern pools and builders, per mode from its first run on; a
+run binds only its own relations, indexes and buffers to them.
 
 A round runs its joins, then inserts each relation's buffer with whole-set
 operations: the new rows are the buffered rows minus the relation, the
@@ -391,10 +393,11 @@ class _Source:
 
     The text holds only identifiers made here: ``t*`` temporaries, which
     hold unpacked values and builder values computed once, and one
-    parameter of ``make`` per entry of ``static`` (constants, constructors,
-    builders) and of ``bound`` (relations, indexes and head appenders, which
-    each run binds from its own store).  So joins of the same shape share
-    one text, and one compiled function.
+    parameter of ``make`` per entry of ``static`` (constants, term classes
+    that checks compare types with, intern pools that build head terms by
+    subscript, and builders) and of ``bound`` (relations, indexes and head
+    appenders, which each run binds from its own store).  So joins of the
+    same shape share one text, and one compiled function.
     """
 
     def __init__(self) -> None:
@@ -451,7 +454,7 @@ class _Source:
         if isinstance(p, PConst):
             return self.name("K", p.value)
         if isinstance(p, PStruct):
-            return f"{self.name('C', TERM_TYPES[p.tag])}({', '.join(map(self.build, p.fields))})"
+            return f"{self.name('C', TERM_TYPES[p.tag]._pool)}[{_tuple([self.build(f) for f in p.fields])}]"
         if isinstance(p, PApply):
             shared = self.calls.get(_shape(p))
             if shared is not None:

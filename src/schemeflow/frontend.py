@@ -247,7 +247,7 @@ class _Builder:
 
     def fresh_label(self) -> Label:
         """The next label in pre-order, with its slot in ``nodes`` reserved."""
-        label = Label(f"e{self._label_counter}")
+        label = Label._pool[f"e{self._label_counter}",]
         self._label_counter += 1
         self.nodes[label] = None
         return label

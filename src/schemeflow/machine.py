@@ -53,6 +53,7 @@ from schemeflow.frontend import (
     LabeledProgram,
     LambdaNode,
     LetNode,
+    ListMarkerNode,
     NumNode,
     PrimCallNode,
     SetNode,
@@ -106,7 +107,7 @@ def _peek(s, e: Label, ctx: Context) -> Context:
 def _eval_sub(emit, src: Term, sub: Label, ctx: Context, frame: Term, flow: str) -> None:
     """Evaluate ``sub`` in ``ctx`` under ``frame``; ``src`` flows into it
     through the relation ``flow``."""
-    ka = KAddr(sub, ctx)
+    ka = KAddr._pool[sub, ctx]
     emit("state_e", (sub, ctx, ka))
     emit("stored_kont", (ka, frame))
     emit(flow, (src, sub))
@@ -119,53 +120,53 @@ def _arrive(emit, e: Label, val: Term, ak: KAddr) -> None:
 
 
 def _eval_num(s, node: NumNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _arrive(s.emit, e, Number(node.value), ak)
+    _arrive(s.emit, e, Number._pool[node.value,], ak)
 
 
 def _eval_bool(s, node: BoolNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _arrive(s.emit, e, Bool(node.text), ak)
+    _arrive(s.emit, e, Bool._pool[node.text,], ak)
 
 
 def _eval_var(s, node: VarNode, e: Label, ctx: Context, ak: KAddr) -> None:
     emit = s.emit
-    for val in s.vstore.get(VAddr(node.name, ctx), ()):
+    for val in s.vstore.get(VAddr._pool[node.name, ctx], ()):
         _arrive(emit, e, val, ak)
 
 
 def _eval_lambda(s, node: LambdaNode, e: Label, ctx: Context, ak: KAddr) -> None:
     _peek(s, e, ctx)
-    _arrive(s.emit, e, Closure(e, ctx), ak)
+    _arrive(s.emit, e, Closure._pool[e, ctx], ak)
 
 
 def _eval_if(s, node: IfNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _eval_sub(s.emit, e, node.guard, ctx, IfK(node.then, node.other, ctx, ak), "flow_ee")
+    _eval_sub(s.emit, e, node.guard, ctx, IfK._pool[node.then, node.other, ctx, ak], "flow_ee")
 
 
 def _eval_set(s, node: SetNode, e: Label, ctx: Context, ak: KAddr) -> None:
-    _eval_sub(s.emit, e, node.expr, ctx, SetK(VAddr(node.target, ctx), ak), "flow_ee")
+    _eval_sub(s.emit, e, node.expr, ctx, SetK._pool[VAddr._pool[node.target, ctx], ak], "flow_ee")
 
 
 def _eval_callcc(s, node: CallccNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
-    _eval_sub(s.emit, e, node.expr, ctx, CallccK(ectx, ak), "flow_ee")
+    _eval_sub(s.emit, e, node.expr, ctx, CallccK._pool[ectx, ak], "flow_ee")
 
 
 def _eval_call(s, node: CallNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
-    _eval_sub(s.emit, e, node.func, ctx, ArgK(node.args_label, ctx, ectx, ak), "flow_ee")
+    _eval_sub(s.emit, e, node.func, ctx, ArgK._pool[node.args_label, ctx, ectx, ak], "flow_ee")
 
 
 def _eval_let(s, node: LetNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ectx = _peek(s, e, ctx)
     emit = s.emit
     for renamed, bexpr in node.bindings:
-        _eval_sub(emit, e, bexpr, ctx, LetK(VAddr(renamed, ectx), node.body, ectx, ak), "flow_ee")
+        _eval_sub(emit, e, bexpr, ctx, LetK._pool[VAddr._pool[renamed, ectx], node.body, ectx, ak], "flow_ee")
     emit("copy_ctx", (ctx, ectx, e))
 
 
 def _eval_prim(s, node: PrimCallNode, e: Label, ctx: Context, ak: KAddr) -> None:
     ea0, ea1 = node.args
-    _eval_sub(s.emit, e, ea0, ctx, Prim1K(node.op_name, ea1, ctx, ak), "flow_ee")
+    _eval_sub(s.emit, e, ea0, ctx, Prim1K._pool[node.op_name, ea1, ctx, ak], "flow_ee")
 
 
 _EVAL = {
@@ -202,7 +203,7 @@ def _enter(s, clo: Term, pos: int, arg: Term, ectx: Context, next_ak: KAddr, src
     if pos < len(lam.params):
         emit = s.emit
         emit("state_e", (lam.body, ectx, next_ak))
-        emit("stored_val", (VAddr(lam.params[pos], ectx), arg))
+        emit("stored_val", (VAddr._pool[lam.params[pos], ectx], arg))
         emit("copy_ctx", (ctx_clo, ectx, elam))
         emit("flow_ae", (src, lam.body))
 
@@ -213,29 +214,30 @@ def _apply_if(s, val: Term, ak: KAddr, frame: IfK) -> None:
     emit = s.emit
     if then:
         emit("state_e", (et, ctx_k, next_ak))
-        emit("flow_ae", (Bool("#t"), et))
+        emit("flow_ae", (Bool._pool["#t",], et))
     if other:
         emit("state_e", (ef, ctx_k, next_ak))
-        emit("flow_ae", (Bool("#f"), ef))
+        emit("flow_ae", (Bool._pool["#f",], ef))
 
 
 def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
     ectx, next_ak = frame.args
     if val.tag == "Closure":
-        _enter(s, val, 0, KontRef(ak), ectx, next_ak, val)
+        _enter(s, val, 0, KontRef._pool[ak,], ectx, next_ak, val)
     elif val.tag == "Kont":
         (bk,) = val.args
         emit = s.emit
-        emit("state_a", (KontRef(ak), bk))
-        emit("flow_aa", (KontRef(bk), KontRef(ak)))
+        kont = KontRef._pool[ak,]
+        emit("state_a", (kont, bk))
+        emit("flow_aa", (KontRef._pool[bk,], kont))
 
 
 def _apply_set(s, val: Term, ak: KAddr, frame: SetK) -> None:
     loc, next_ak = frame.args
     emit = s.emit
-    emit("state_a", (Number(-42), next_ak))
+    emit("state_a", (Number._pool[-42,], next_ak))
     emit("stored_val", (loc, val))
-    emit("flow_aa", (val, Number(-42)))
+    emit("flow_aa", (val, Number._pool[-42,]))
 
 
 def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
@@ -244,7 +246,7 @@ def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
     # ``eargs`` labels the argument list of a call node.
     nodes = s.program.nodes
     for pos, earg in enumerate(nodes[nodes[eargs].owner].args):
-        _eval_sub(emit, val, earg, ctx, FnK(val, pos, ectx, next_ak), "flow_ae")
+        _eval_sub(emit, val, earg, ctx, FnK._pool[val, pos, ectx, next_ak], "flow_ae")
 
 
 def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
@@ -268,12 +270,12 @@ def _apply_let(s, val: Term, ak: KAddr, frame: LetK) -> None:
 
 def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
     op, ea1, ctx, next_ak = frame.args
-    _eval_sub(s.emit, val, ea1, ctx, Prim2K(op, val, next_ak), "flow_ae")
+    _eval_sub(s.emit, val, ea1, ctx, Prim2K._pool[op, val, next_ak], "flow_ae")
 
 
 def _apply_prim2(s, val: Term, ak: KAddr, frame: Prim2K) -> None:
     op, v1, next_ak = frame.args
-    widened = widen_value(PrimVal(op, v1, val), s.cfg.widen_depth)
+    widened = widen_value(PrimVal._pool[op, v1, val], s.cfg.widen_depth)
     emit = s.emit
     emit("state_a", (widened, next_ak))
     emit("flow_aa", (val, widened))
@@ -343,7 +345,7 @@ def _on_state_e(m: "Machine", row: tuple) -> None:
     if m.trace is not None:
         m._t(_EVAL_RULE_NAMES[type(node)], e, ctx, ak)
     if isinstance(node, VarNode):
-        m.var_reads.setdefault(VAddr(node.name, ctx), []).append((e, ak))
+        m.var_reads.setdefault(VAddr._pool[node.name, ctx], []).append((e, ak))
     _EVAL[type(node)](m, node, e, ctx, ak)
 
 
@@ -396,7 +398,7 @@ def _on_copy_ctx(m: "Machine", row: tuple) -> None:
         m._t("copy", frm, to, e)
     emit = m.emit
     for x in m.free_vars[e]:
-        src, dst = VAddr(x, frm), VAddr(x, to)
+        src, dst = VAddr._pool[x, frm], VAddr._pool[x, to]
         m.copy_to.setdefault(src, []).append(dst)
         for val in m.vstore.get(src, ()):
             emit("stored_val", (dst, val))
@@ -475,7 +477,7 @@ class Machine:
                 self.emit("freevar", (x, e))
         root = self.program.root
         eps = EMPTY_CONTEXT
-        ak0 = KAddr(root, eps)
+        ak0 = KAddr._pool[root, eps]
         self.emit("peek_ctx", (root, eps, make_context(root, eps, self.cfg.m)))
         self.emit("state_e", (root, eps, ak0))
         self.emit("stored_kont", (ak0, MT_FRAME))
@@ -536,13 +538,31 @@ class _Recheck(Machine):
             raise ValidationError(f"not a fixpoint: {self.source} re-derives {rel}{row}")
 
 
+def _names_lambda(nodes: dict, val: Term) -> bool:
+    """Whether ``val``, if it is a closure, names a lambda, as ``_enter``
+    reads it."""
+    return val.tag != "Closure" or type(nodes.get(val.args[0])) is LambdaNode
+
+
+def _frame_is_read(nodes: dict, frame: Term) -> bool:
+    """Whether an apply transition reads ``frame``: its class has one, an
+    ``Arg`` frame names the argument list of a call and a ``Fn`` frame's
+    function, if a closure, names a lambda."""
+    if type(frame) not in _APPLY:
+        return False
+    if frame.tag == "Arg":
+        marker = nodes.get(frame.args[0])
+        return type(marker) is ListMarkerNode and type(nodes.get(marker.owner)) is CallNode
+    return frame.tag != "Fn" or _names_lambda(nodes, frame.args[0])
+
+
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:
     """Verify the result is closed under the machine: ``start`` and the
     handler of every result row derive nothing that is not in it.  Raises
     ValidationError naming the first fact derived but missing, a ``freevar``
     row that is not one of the program's free variables, or a row whose
-    label or frame no transition reads.  Any other extra row is accepted:
-    this checks closure, not leastness.
+    label, frame or closure no transition reads.  Any other extra row is
+    accepted: this checks closure, not leastness.
 
     The store rows go first: no reader is registered yet, so their handlers
     only fill the stores.  Each join then fires once, from its ``state_e``,
@@ -561,7 +581,8 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
             # handlers, which the oracle runs on every event.
             if (
                 (rel == "state_e" and type(nodes.get(row[0])) not in _EVAL)
-                or (rel == "stored_kont" and type(row[1]) not in _APPLY)
+                or (rel == "state_a" and not _names_lambda(nodes, row[0]))
+                or (rel == "stored_kont" and not _frame_is_read(nodes, row[1]))
                 or (rel == "copy_ctx" and row[2] not in nodes)
             ):
                 raise ValidationError(f"not a fixpoint: no transition reads {rel}{row}")

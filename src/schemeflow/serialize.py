@@ -24,17 +24,14 @@ sorts after ``'\\t'``:
 This holds for identifiers with control characters below ``'\\t'`` too,
 which the reader accepts.
 
-The JSON document escapes each relation once: ``encode_basestring_ascii``
-runs over the relation's sorted lines joined by newlines, and the escaped
-tabs and newlines then become the separators of cells and rows.  That is
-exact because no cell contains a tab or a newline (the reader ends every
-identifier at either), so each ``\\t`` and ``\\n`` escape in the output
-stands for a separator, with one catch: an escaped backslash ``\\\\``
-followed by ``t`` or ``n`` also contains those two characters.  So every
-``\\\\`` is first swapped for a ``\\0`` placeholder, which cannot occur in the
-encoder's output (it escapes every control character).  After that each
-remaining backslash starts an escape, the two separator replacements
-cannot match inside another escape, and the placeholder is turned back.
+The JSON document escapes each distinct term of a relation once, with
+``encode_basestring_ascii``, and builds each row's text from those escaped
+cells.  When every cell escapes to itself in quotes, the rows' texts sort
+as their lines do: the same prefix argument holds with ``'"'`` in place of
+the tab, since ``'"'`` also sorts before every digit.  When some cell does
+escape (an identifier with a backslash, a control character or a
+non-ASCII character), its escape need not sort as its text, so the rows
+are ordered by their lines instead.
 """
 
 from __future__ import annotations
@@ -101,14 +98,45 @@ def _result_lines(rows) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
+# Rows of a relation per write of the JSON document, so that no text of a
+# whole relation is built.
+JSON_SLICE_ROWS = 2048
+
+
+def _json_rows(rows) -> list[str]:
+    """Each row of a result relation as its JSON array's cells, escaped and
+    joined by the document's separators, in the order of the rows' lines
+    (see the module docstring).  Each distinct term is escaped once."""
+    rows = tuple(rows)
+    columns = range(len(rows[0]))
+
+    def cells(of) -> zip:
+        """Each row as the tuple of ``of`` its cells."""
+        return zip(*[map(of, map(itemgetter(i), rows)) for i in columns])
+
+    terms = list(set().union(*[map(itemgetter(i), rows) for i in columns]))
+    texts = list(map(attrgetter("_text"), terms))
+    if None in texts:  # a text too long to be fixed at interning
+        texts = list(map(render, terms))
+    escaped = list(map(encode_basestring_ascii, texts))
+    json_rows = list(map(",\n      ".join, cells(dict(zip(terms, escaped)).__getitem__)))
+    # An escape is longer than the character it stands for, so each cell
+    # escapes to itself in quotes exactly when the lengths add up.
+    if sum(map(len, escaped)) == sum(map(len, texts)) + 2 * len(texts):
+        json_rows.sort()
+        return json_rows
+    lines = map("\t".join, cells(dict(zip(terms, texts)).__getitem__))
+    return [json_row for _, json_row in sorted(zip(lines, json_rows))]
+
+
 def write_result_json(relations: dict[str, set[tuple]], out: TextIO) -> None:
     """Write exactly ``json.dumps(doc, sort_keys=True, indent=2) + "\\n"`` for
     ``doc = {name: [[cell, ...] per sorted row] for name in OUTPUT_RELATIONS}``
     to ``out``, directly: with ``indent`` set, ``json.dumps`` leaves its C
-    encoder for a pure-Python one.  Each relation is escaped once (see the
-    module docstring for why that is exact) and written as soon as it is,
-    so the document is never held whole."""
+    encoder for a pure-Python one.  Each relation's rows are written
+    ``JSON_SLICE_ROWS`` at a time, so the document is never held whole."""
     sep = "{\n"
+    row_sep = "\n    ],\n    [\n      "
     for name in sorted(OUTPUT_RELATIONS):
         out.write(f"{sep}  {encode_basestring_ascii(name)}: ")
         sep = ",\n"
@@ -116,16 +144,12 @@ def write_result_json(relations: dict[str, set[tuple]], out: TextIO) -> None:
         if not rows:
             out.write("[]")
             continue
+        json_rows = _json_rows(rows)
         out.write("[\n    [\n      ")
-        # The sorted lines are held by no name, so they are freed before
-        # the escape and its copies are made: a lower peak memory.
-        out.write(
-            encode_basestring_ascii("\n".join(_result_lines(rows)))
-            .replace("\\\\", "\0")
-            .replace("\\t", '",\n      "')
-            .replace("\\n", '"\n    ],\n    [\n      "')
-            .replace("\0", "\\\\")
-        )
+        for start in range(0, len(json_rows), JSON_SLICE_ROWS):
+            if start:
+                out.write(row_sep)
+            out.write(row_sep.join(json_rows[start : start + JSON_SLICE_ROWS]))
         out.write("\n    ]\n  ]")
     out.write("\n}\n")
 

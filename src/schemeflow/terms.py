@@ -13,6 +13,13 @@ analysis rules and the ``... = frame.args`` unpacks of the machine.
 The canonical textual form of a term is an s-expression such as
 ``(Closure e4 (Context e7))``; see :func:`render`.
 
+Each class interns through its ``_pool``, a dict from args tuples to terms
+whose ``__missing__`` builds the term on a miss.  Package code subscripts
+the pool, as in ``KAddr._pool[sub, ctx]`` or ``Number._pool[v,]``, so
+finding a term that exists is one dict lookup with no Python frame; calling
+the class, ``KAddr(sub, ctx)``, returns the same term through ``__new__``
+at the cost of a call.
+
 Because a term is immutable and shared, two pure functions of it are fixed
 on the term itself when it is interned: its rendered text, joined from its
 args' texts (args are interned first), and a ``PrimVal``'s nesting depth.
@@ -37,13 +44,37 @@ TERM_TYPES: dict[str, type["Term"]] = {}
 INTERNED_TEXT_MAX = 256
 
 
+class _Pool(dict):
+    """One class's interned terms, keyed by their args tuples.  Looking up
+    args that no term has yet builds and keeps that term."""
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: type["Term"]) -> None:
+        super().__init__()
+        self.cls = cls
+
+    def __missing__(self, args: tuple) -> "Term":
+        # A key that is not a tuple is a missing comma, as in
+        # ``Number._pool[v]``: it would intern a term of the wrong shape.
+        if type(args) is not tuple:
+            raise TypeError(f"{self.cls.__name__} args must be a tuple, got {args!r}")
+        cls = self.cls
+        term = object.__new__(cls)
+        term.args = args
+        term._text = _interned_text(cls, args)
+        term._interned()
+        self[args] = term
+        return term
+
+
 class Term:
     """Base class for interned terms.
 
     Subclasses set ``tag`` (the canonical constructor name).  Instances are
-    interned per-class: ``cls(*args)`` returns the existing object when one
-    with equal args was built before.  Equality and hashing are therefore
-    the inherited identity semantics.
+    interned per-class: ``cls._pool[args]``, and ``cls(*args)`` through it,
+    return the existing object when one with equal args was built before.
+    Equality and hashing are therefore the inherited identity semantics.
 
     ``_text`` is :func:`render` of the term, set at interning, or None until
     the first render if it is longer than ``INTERNED_TEXT_MAX``; ``_depth``
@@ -54,26 +85,18 @@ class Term:
 
     __slots__ = ("args", "_text")
     tag: ClassVar[str] = "?"
-    _pool: ClassVar[dict]
+    _pool: ClassVar[_Pool]
     _depth: ClassVar[int] = 0
 
     def __init_subclass__(cls, **kw):
         super().__init_subclass__(**kw)
-        cls._pool = {}
+        cls._pool = _Pool(cls)
         if cls.tag in TERM_TYPES:
             raise ValueError(f"duplicate term tag {cls.tag!r}")
         TERM_TYPES[cls.tag] = cls
 
     def __new__(cls, *args):
-        pool = cls._pool
-        term = pool.get(args)
-        if term is None:
-            term = object.__new__(cls)
-            term.args = args
-            term._text = _interned_text(cls, args)
-            term._interned()
-            pool[args] = term
-        return term
+        return cls._pool[args]
 
     def _interned(self) -> None:
         """Fill memo slots that depend only on ``args``; runs once per term."""
@@ -286,7 +309,7 @@ def make_context(call_label: Label, ctx: Context, m: int) -> Context:
         raise ValueError("m must be >= 0")
     if m == 0:
         return EMPTY_CONTEXT
-    return Context(*((call_label,) + ctx.args)[:m])
+    return Context._pool[(call_label, *ctx.args)[:m]]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +339,7 @@ def _cut(v: Term, remaining: int) -> Term:
             op, v1, v2 = t.args
             k1, k2 = (v1, left - 1), (v2, left - 1)
             if k1 in cut and k2 in cut:
-                cut[key] = PrimVal(op, cut[k1], cut[k2])
+                cut[key] = PrimVal._pool[op, cut[k1], cut[k2]]
                 pending.pop()
             else:
                 pending += (k for k in (k2, k1) if k not in cut)

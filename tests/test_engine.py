@@ -503,6 +503,29 @@ class TestCompiledPatterns:
                 assert not line.startswith(("continue", "return")) or line == "return join", text
                 assert not line.startswith("if ") or line.endswith(":") and ": " not in line[3:], text
 
+    def test_analysis_joins_build_every_head_term_by_subscript(self, plan_texts, corpus_programs):
+        """Every term a join builds, for a head or an index key, is looked
+        up in its class's intern pool, as in ``C3[(t0, t1)]``, and never
+        built by calling its class.  Any other ``C`` value is a class that
+        a check compares a type with."""
+        program = corpus_programs["17_vanhorn"]
+        for m in (0, 1, 2):
+            for mode in analysis.TRUTHINESS_MODES:
+                for naive in (False, True):
+                    analysis.analyze(program, config(m=m, primval_truthiness=mode), naive=naive)
+        assert len(set(plan_texts)) == 38
+        heads = 0
+        for text in set(plan_texts):
+            assert not re.search(r"\bC[0-9]+\(", text), text
+            for line in map(str.strip, text.splitlines()[1:]):
+                checks = re.findall(r"\bis (C[0-9]+) and ", line)
+                builds = re.findall(r"\b(C[0-9]+)\[\(", line)
+                assert sorted(re.findall(r"\bC[0-9]+\b", line)) == sorted(checks + builds), line
+                if line.startswith("O"):
+                    assert checks == [], line
+                    heads += len(builds)
+        assert heads > 0
+
 
 class TestSharedPrefix:
     """Plans of one join whose second steps are the same index lookup share

@@ -1,6 +1,7 @@
 """Every module-level import in the package is used by its module, every
-import runs at import time and none is of ``dataclasses``, and every
-module-level name and method is read by the program, not only by tests."""
+import runs at import time and none is of ``dataclasses``, every
+module-level name and method is read by the program, not only by tests,
+and no package function builds a term by calling its class."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import schemeflow
+from schemeflow.terms import TERM_TYPES
 
 ROOT = Path(__file__).parent.parent
 SRC = ROOT / "src" / "schemeflow"
@@ -157,3 +159,23 @@ def test_every_method_is_read_by_the_program():
         and stmt.name not in read
     ]
     assert unread == []
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_function_calls_a_term_class_with_arguments(path):
+    """Package code interns a term by subscripting its class's pool, as in
+    ``KAddr._pool[sub, ctx]``: a term that exists is then one dict lookup,
+    where ``KAddr(sub, ctx)`` also runs ``Term.__new__``.  Only module-level
+    constants, such as ``EMPTY_CONTEXT = Context()``, call a class."""
+    classes = {cls.__name__ for cls in TERM_TYPES.values()}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = {
+        f"{node.lineno}:{ast.unparse(node)}"
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and (node.args or node.keywords)
+        and (getattr(node.func, "id", None) in classes or getattr(node.func, "attr", None) in classes)
+    }
+    assert sorted(calls) == []

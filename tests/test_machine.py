@@ -22,10 +22,12 @@ from schemeflow.machine import (
     run_fixpoint,
 )
 from schemeflow.terms import (
+    ArgK,
     Bool,
     Closure,
     Context,
     EMPTY_CONTEXT,
+    FnK,
     IfK,
     KAddr,
     Label,
@@ -386,19 +388,45 @@ class TestRecheck:
             recheck(program, cfg, relations)
 
     # Rows that no transition reads, added to the result for
-    # ((lambda (x) x) 1): e4 labels its argument list, and e99 no node.
+    # ((lambda (x) x) 1): e4 labels its argument list, e5 the argument 1,
+    # whose address holds the Fn frame, and e99 no node; and for
+    # (call/cc (lambda (k) k)), where e1's address holds the Callcc frame.
+    # Before the check, the Fn and Arg frames and the closure raised
+    # KeyError or AttributeError from the transition that reads them.
     @pytest.mark.parametrize(
-        "rel, row",
+        "source, rel, row",
         [
-            ("state_e", (L(99), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
-            ("state_e", (L(4), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
-            ("stored_kont", (KAddr(L(0), EMPTY_CONTEXT), Number(1))),
-            ("copy_ctx", (EMPTY_CONTEXT, EMPTY_CONTEXT, L(99))),
+            ("((lambda (x) x) 1)", "state_e", (L(99), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+            ("((lambda (x) x) 1)", "state_e", (L(4), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(0), EMPTY_CONTEXT), Number(1))),
+            ("((lambda (x) x) 1)", "copy_ctx", (EMPTY_CONTEXT, EMPTY_CONTEXT, L(99))),
+            (
+                "((lambda (x) x) 1)",
+                "stored_kont",
+                (
+                    KAddr(L(5), EMPTY_CONTEXT),
+                    FnK(Closure(L(99), EMPTY_CONTEXT), 0, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)),
+                ),
+            ),
+            (
+                "((lambda (x) x) 1)",
+                "stored_kont",
+                (KAddr(L(1), EMPTY_CONTEXT), ArgK(L(5), EMPTY_CONTEXT, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+            ),
+            ("(call/cc (lambda (k) k))", "state_a", (Closure(L(99), EMPTY_CONTEXT), KAddr(L(1), EMPTY_CONTEXT))),
         ],
-        ids=["state_e-e99", "state_e-list-marker", "stored_kont-number", "copy_ctx-e99"],
+        ids=[
+            "state_e-e99",
+            "state_e-list-marker",
+            "stored_kont-number",
+            "copy_ctx-e99",
+            "stored_kont-fn-closure-e99",
+            "stored_kont-arg-not-an-argument-list",
+            "state_a-closure-e99",
+        ],
     )
-    def test_malformed_row_is_a_validation_error(self, rel, row):
-        program, cfg = read_program("((lambda (x) x) 1)"), config(m=0)
+    def test_malformed_row_is_a_validation_error(self, source, rel, row):
+        program, cfg = read_program(source), config(m=0)
         relations = analyze(program, cfg).relations
         relations[rel].add(row)
         message = f"not a fixpoint: no transition reads {rel}{row}"

@@ -185,12 +185,14 @@ class TestTermText:
                 assert sub._text == reference_text(sub)
 
     def test_every_interned_term_has_its_text_unless_too_long(self):
-        # One level per term, so by induction over the args, which were
-        # interned first: a text is None only when the reference text is too
-        # long, and then until a render builds it.  Rendering such terms here
+        # Every pool key is the args tuple of the term it holds.  One level
+        # per term, so by induction over the args, which were interned
+        # first: a text is None only when the reference text is too long,
+        # and then until a render builds it.  Rendering such terms here
         # could take memory quadratic in their depth.
         for cls in TERM_TYPES.values():
-            for term in cls._pool.values():
+            for args, term in cls._pool.items():
+                assert type(args) is tuple and args == term.args
                 if cls is Label:
                     assert term._text == term.args[0]
                     continue

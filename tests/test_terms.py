@@ -57,6 +57,40 @@ class TestInterning:
         assert a is b
         assert render(a) == render(b)
 
+    @pytest.mark.parametrize(
+        "cls, args",
+        [
+            (Number, (-9,)),
+            (Bool, ("#t",)),
+            (Context, ()),
+            (Context, (e7, e3)),
+            (KAddr, (e2, Context(e9))),
+            (PrimVal, ("*", Number(3), NUM_TOP)),
+        ],
+        ids=lambda x: getattr(x, "__name__", None),
+    )
+    def test_calling_the_class_subscripts_its_pool(self, cls, args):
+        assert cls(*args) is cls._pool[args]
+        assert cls._pool[args].args == args
+
+    def test_pool_interns_on_a_miss_only(self):
+        args = ("pool~1", Context(e5))
+        assert args not in VAddr._pool
+        term = VAddr._pool[args]
+        assert VAddr._pool[args] is term
+        assert VAddr("pool~1", Context(e5)) is term
+        assert term.args is args
+        assert render(term) == "(VAddress pool~1 (Context e5))"
+
+    @pytest.mark.parametrize("key", [-801, "pool~2", e4, ["pool~3"]], ids=["int", "str", "label", "list"])
+    def test_pool_rejects_a_key_that_is_not_a_tuple(self, key):
+        """``Number._pool[v]`` without its trailing comma is a TypeError
+        and interns nothing."""
+        sizes = {cls: len(cls._pool) for cls in TERM_TYPES.values()}
+        with pytest.raises(TypeError):
+            Number._pool[key]
+        assert {cls: len(cls._pool) for cls in TERM_TYPES.values()} == sizes
+
 
 class TestMakeContext:
     def test_prepend_under_capacity(self):
