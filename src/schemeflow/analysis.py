@@ -490,7 +490,9 @@ def analyze(
         store.bulk_add(name, rows)
     ruleset = build_analysis_ruleset(cfg)
     final, stats = saturate(ruleset, store, naive=naive, fact_ceiling=cfg.fact_ceiling)
-    relations = {name: set(final.tuples(name)) for name in IDB_SCHEMA}
+    # The result takes the store's sets themselves, not copies: the store
+    # and its indexes go when this returns, and a copy would raise the peak.
+    relations = {name: final.tuples(name) for name in IDB_SCHEMA}
     return AnalysisResult(
         relations=relations,
         engine="naive" if naive else "seminaive",

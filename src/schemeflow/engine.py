@@ -23,20 +23,26 @@ variables, then the earliest declared.  The columns ground on arrival, some
 or all of them, are a later step's index key.
 
 A stratum compiles to one Python function per relation its plans start
-with: one ``for`` loop over the rows ``saturate`` hands it (the relation's
-delta, or all of it), then one block per plan in rule order, with nested
-loops over index lookups and relations, unpacking of struct patterns, an
-``if`` around the rest of the block for each check on a candidate, and
-calls that append each built head row to its relation's buffer.  A head
-term is built by subscripting its class's intern pool, so a term that
-exists costs one dict lookup.  A builder call that the heads of a rule
-repeat is computed once per firing, into a variable.  Plans whose second
-step is the same index lookup, keyed on the same columns of the first
-atom, share the loop over the rows it finds.  As checks nest, a mismatch
-closes only its own plan's block.  So the analysis's main stratum compiles
-to six joins, and its eleven continuation-frame rules share one
-``stored_kont`` lookup per ``state_a`` row.  Naive mode keeps one join per
-rule as the reference.
+with.  It takes a mapping from key to rows (the relation's delta, or all
+of it) grouped by the columns that all its plans' second steps look up by,
+or else under the one key ``()``.  It groups only where the stratum looks
+the relation up by that key anyway, so the groups come from the insert's
+pass that extends that index, and where some plan leaves the other columns
+unchecked.  Per group, one block per plan in rule order nests loops over
+index lookups and relations, unpacking of struct patterns, an ``if`` around
+the rest of the block for each check, and calls that append each built
+head row to its relation's buffer.  The loop over the group's rows opens
+where the block first reads their other columns, so what reads only the
+key and the rows its lookup found runs once per found row.  A head term is
+built by subscripting its class's intern pool, or is a constant when all
+its fields are; a builder call or a term that a rule's heads repeat is
+computed once per firing.  Plans whose second step is the same index
+lookup, keyed on the same columns of the first atom, share the loop over
+the rows it finds.  As checks nest, a mismatch closes only its own plan's
+block.  So the analysis's main stratum compiles to six joins, and its
+eleven continuation-frame rules share one ``stored_kont`` lookup and test
+each frame's class once per continuation address of the ``state_a``
+delta.  Naive mode keeps one join per rule as the reference.
 
 The source text holds only generated names, so one text serves every join
 of its shape.  A rule set keeps its compiled joins, with their constants,
@@ -46,8 +52,9 @@ run binds only its own relations, indexes and buffers to them.
 A round runs its joins, then inserts each relation's buffer with whole-set
 operations: the new rows are the buffered rows minus the relation, the
 relation takes their union, and they are that relation's delta in the next
-round.  Tuple stores keep, per relation, one hash index per key-column set,
-built when a plan is first bound and extended by each insert's new rows; a
+round, grouped by its join's key in the pass that extends the index on it.
+Tuple stores keep, per relation, one hash index per key-column set, built
+when a plan is first bound and extended by each insert's new rows; a
 relation that no plan looks up by key has none, and its inserts are set
 operations alone.
 """
@@ -301,20 +308,43 @@ class TupleStore:
         # name -> key columns -> (row -> key, key -> rows)
         self._indexes: dict[str, dict[tuple[int, ...], tuple[Callable, dict]]] = {}
 
-    def bulk_add(self, name: str, rows: Iterable[tuple]) -> set[tuple]:
-        """Insert ``rows`` into ``name``; return those it did not hold yet."""
+    def bulk_add(self, name: str, rows: Iterable[tuple], by: tuple[int, ...] | None = None):
+        """Insert ``rows`` into ``name`` and return those it did not hold
+        yet: a set, or, given key columns ``by``, a mapping from each key to
+        its new rows, as ``index`` gives them, grouped in the pass that
+        extends the index on ``by``."""
         rel = self.relations[name]
         new = set(rows) - rel
+        if by:
+            # Built before the union, the index is then extended once.
+            self.index(name, by)
         rel |= new
-        for key, table in self._indexes.get(name, {}).values():
+        groups: dict[object, list[tuple]] = {}
+        for cols, (key, table) in self._indexes.get(name, {}).items():
+            if cols != by:
+                for row in new:
+                    table.setdefault(key(row), []).append(row)
+                continue
             for row in new:
-                table.setdefault(key(row), []).append(row)
-        return new
+                groups.setdefault(key(row), []).append(row)
+            # A key new to the index takes the group's list itself: the
+            # round that reads the group ends before an insert extends it.
+            for k, group in groups.items():
+                held = table.setdefault(k, group)
+                if held is not group:
+                    held.extend(group)
+        if by is None:
+            return new
+        return groups if by else {(): new} if new else {}
 
     def tuples(self, name: str) -> set[tuple]:
         return self.relations[name]
 
-    def index(self, name: str, positions: tuple[int, ...]) -> dict[object, list[tuple]]:
+    def index(self, name: str, positions: tuple[int, ...]) -> dict[object, Iterable[tuple]]:
+        """The rows of ``name`` by their key on ``positions``; on no
+        columns, one key ``()`` for the whole relation."""
+        if not positions:
+            return {(): self.relations[name]}
         indexes = self._indexes.setdefault(name, {})
         if positions not in indexes:
             key = operator.itemgetter(*positions)
@@ -392,10 +422,10 @@ class _Source:
     """The source text of one compiled join, and the values its names stand for.
 
     The text holds only identifiers made here: ``t*`` temporaries, which
-    hold unpacked values and builder values computed once, and one
-    parameter of ``make`` per entry of ``static`` (constants, term classes
-    that checks compare types with, intern pools that build head terms by
-    subscript, and builders) and of ``bound`` (relations, indexes and head
+    hold unpacked values and the builder values and terms computed once,
+    and one parameter of ``make`` per entry of ``static`` (constants, terms
+    of constants, term classes that checks compare types with, intern pools
+    that build head terms by subscript, and builders) and of ``bound`` (relations, indexes and head
     appenders, which each run binds from its own store).  So joins of the
     same shape share one text, and one compiled function.
     """
@@ -404,7 +434,7 @@ class _Source:
         self.static: dict[str, object] = {}
         self.bound: dict[str, _Binding] = {}
         self.var: dict[str, str] = {}  # rule variable -> identifier
-        self.calls: dict[tuple, str] = {}  # shape of a builder call -> its value's variable
+        self.calls: dict[tuple, str] = {}  # shape of a repeated call or term -> its variable
         self.lines: list[str] = []
         self.depth = 2  # inside make and join; each loop and check adds one
         self.temps = 0
@@ -453,12 +483,15 @@ class _Source:
             return self.var[p.name]
         if isinstance(p, PConst):
             return self.name("K", p.value)
+        shared = self.calls.get(_shape(p))
+        if shared is not None:
+            return shared
         if isinstance(p, PStruct):
+            term = _constant(p)
+            if term is not None:
+                return self.name("K", term)
             return f"{self.name('C', TERM_TYPES[p.tag]._pool)}[{_tuple([self.build(f) for f in p.fields])}]"
         if isinstance(p, PApply):
-            shared = self.calls.get(_shape(p))
-            if shared is not None:
-                return shared
             return f"{self.name('F', p.fn)}({', '.join(map(self.build, p.fields))})"
         raise RuleError(f"cannot instantiate {p!r}")
 
@@ -496,36 +529,82 @@ class _Source:
         else:
             raise RuleError(f"pattern {p!r} not allowed in body")
 
-    def rule(self, r: Rule, steps: Sequence[_Step]) -> None:
-        """The join of ``steps``, then ``r``'s guards and heads.  A builder
-        call that the heads repeat is computed once per firing."""
+    def rule(self, r: Rule, steps: Sequence[_Step], group: tuple | None = None) -> None:
+        """The join of ``steps``, then ``r``'s guards and heads.  ``group``,
+        if given, is ``(rows, patterns, key)``: a key group of the first
+        atom's rows, never empty, whose ``key`` columns are matched and
+        whose other columns of ``patterns`` are not yet.  The loop over
+        the group opens first if one of those columns holds a check, else
+        before the first step, guard or head that reads one.  Each guard
+        runs in the outermost loop that binds its variables, each head
+        after every step and guard.  A builder call or a term that the
+        heads repeat is computed once per firing, into a variable."""
+        guards = list(r.guards)
+        rest: set[str] = set()
+        if group is not None:
+            for c, p in enumerate(group[1]):
+                if c not in group[2]:
+                    _pattern_vars(p, rest, allow_apply=False)
+            rest -= self.var.keys()
+
+        def reads_rest(p: Pattern) -> bool:
+            return group is not None and not rest.isdisjoint(_vars(p))
+
+        def open_group() -> None:
+            nonlocal group
+            if group is not None:
+                rows, patterns, key = group
+                group = None
+                self.loop(patterns, rows, key)
+                place_guards()
+
+        def place_guards() -> None:
+            for g in [g for g in guards if _vars(g) <= self.var.keys()]:
+                guards.remove(g)
+                self.require(self.build(g))
+
+        place_guards()
+        if group is not None and _checks(group[1], group[2], self.var.keys()):
+            open_group()
         for rel, key_cols, patterns in steps:
+            if any(map(reads_rest, patterns)):
+                open_group()
             if not key_cols:
                 self.loop(patterns, self.bound_name("R", rel))
             else:
                 cols = [self.build(patterns[c]) for c in key_cols]
                 key = cols[0] if len(cols) == 1 else _tuple(cols)
                 self.loop(patterns, f"{self.bound_name('I', rel, key_cols)}.get({key}, ())", key_cols)
-        for g in r.guards:
-            self.require(self.build(g))
-        calls: list[tuple[tuple, PApply]] = []
+            place_guards()
+        if guards:
+            open_group()
+        built: list[tuple[tuple, Pattern]] = []
         for h in r.heads:
             for p in h.patterns:
-                _builder_calls(p, calls)
-        counts = collections.Counter(shape for shape, _ in calls)
-        for shape, p in calls:
-            if counts[shape] > 1 and shape not in self.calls:
+                _built(p, built)
+        counts = collections.Counter(shape for shape, _ in built)
+        repeated = {shape: p for shape, p in built if counts[shape] > 1}
+        late = [h for h in r.heads if any(map(reads_rest, h.patterns))]
+        self.heads([h for h in r.heads if h not in late], repeated)
+        if late:
+            open_group()
+            self.heads(late, repeated)
+
+    def heads(self, heads: Sequence[Atom], repeated: dict[tuple, Pattern]) -> None:
+        """Append each of ``heads`` to its buffer, after computing each of
+        the ``repeated`` terms whose variables are bound, if not yet."""
+        for shape, p in repeated.items():
+            if shape not in self.calls and _vars(p) <= self.var.keys():
                 value = self.build(p)
                 self.calls[shape] = self.temp()
                 self.line(f"{self.calls[shape]} = {value}")
-        for h in r.heads:
-            row = _tuple([self.build(p) for p in h.patterns])
-            self.line(f"{self.bound_name('O', h.rel)}({row})")
+        for h in heads:
+            self.line(f"{self.bound_name('O', h.rel)}({_tuple([self.build(p) for p in h.patterns])})")
 
-    def join(self, rel: str) -> _Join:
+    def join(self, rel: str, key: tuple[int, ...]) -> _Join:
         params = ", ".join([*self.static, *self.bound])
         text = "\n".join([f"def make({params}):", "    def join(rows):", *self.lines, "    return join"])
-        return _Join(rel, _make_function(text), tuple(self.static.values()), tuple(self.bound.values()))
+        return _Join(rel, key, _make_function(text), tuple(self.static.values()), tuple(self.bound.values()))
 
 
 def _shape(p: Pattern) -> tuple:
@@ -541,13 +620,46 @@ def _shape(p: Pattern) -> tuple:
     return ("_",)
 
 
-def _builder_calls(p: Pattern, out: list[tuple[tuple, PApply]]) -> None:
-    """Append each builder call in ``p`` with its shape, inner calls first."""
+def _built(p: Pattern, out: list[tuple[tuple, Pattern]]) -> None:
+    """Append each builder call and each term that is not a constant in
+    ``p``, with its shape, inner ones first."""
     if isinstance(p, (PStruct, PApply)):
         for f in p.fields:
-            _builder_calls(f, out)
-    if isinstance(p, PApply):
-        out.append((_shape(p), p))
+            _built(f, out)
+        if isinstance(p, PApply) or _constant(p) is None:
+            out.append((_shape(p), p))
+
+
+def _constant(p: Pattern) -> Term | None:
+    """The term a struct pattern of constants stands for, or None."""
+    if not isinstance(p, PStruct):
+        return None
+    fields = []
+    for f in p.fields:
+        value = f.value if isinstance(f, PConst) else _constant(f)
+        if value is None:
+            return None
+        fields.append(value)
+    return TERM_TYPES[p.tag]._pool[tuple(fields)]
+
+
+def _vars(p: Pattern) -> set[str]:
+    names: set[str] = set()
+    _pattern_vars(p, names, allow_apply=True)
+    return names
+
+
+def _checks(patterns: Sequence[Pattern], known: Sequence[int], bound: Iterable[str]) -> bool:
+    """Whether matching ``patterns`` on the columns not ``known`` checks
+    anything beyond binding new variables."""
+    seen = set(bound)
+    for c, p in enumerate(patterns):
+        if c in known or isinstance(p, PWild):
+            continue
+        if not isinstance(p, PVar) or p.name in seen:
+            return True
+        seen.add(p.name)
+    return False
 
 
 class _Binding(NamedTuple):
@@ -562,12 +674,14 @@ class _Binding(NamedTuple):
 
 class _Join(NamedTuple):
     """One compiled join of the plans that start with relation ``rel``:
-    ``make(*static, *bound values)`` returns ``join(rows)``, which matches
-    each of the ``rows`` of ``rel`` it is handed (its delta, or all of it)
-    against every plan and appends each row the rules derive to the buffer
-    of its head relation."""
+    ``make(*static, *bound values)`` returns ``join(rows)``, which takes
+    the ``(key, rows)`` items of a mapping from each key on the ``key``
+    columns of ``rel`` to the rows it is handed with that key (of its
+    delta, or all of it), matches them against every plan and appends
+    each row the rules derive to the buffer of its head relation."""
 
     rel: str
+    key: tuple[int, ...]
     make: Callable
     static: tuple
     bindings: tuple[_Binding, ...]
@@ -602,28 +716,65 @@ def _prefix(steps: Sequence[_Step]) -> tuple | None:
     return (rel, key_cols, tuple(at))
 
 
-def _compile(plans: Sequence[tuple[Rule, list[_Step]]]) -> _Join:
+def _key(steps: Sequence[_Step]) -> tuple[int, ...]:
+    """The columns of a plan's first atom that bind the variables its
+    second step looks up by; () if that step is no index lookup."""
+    if len(steps) < 2 or not steps[1].key_cols:
+        return ()
+    names = set().union(*(_vars(steps[1].patterns[c]) for c in steps[1].key_cols))
+    return tuple(c for c, p in enumerate(steps[0].patterns) if not names.isdisjoint(_vars(p)))
+
+
+def _group_key(
+    plans: Sequence[tuple[Rule, list[_Step]]], looked_up: set[tuple[str, tuple[int, ...]]]
+) -> tuple[int, ...]:
+    """The columns a join's rows are grouped by: the ``_key`` of all its
+    plans, if they share one, ``looked_up`` names their relation with it
+    and some plan leaves the other columns unchecked; else ().  So the
+    groups come from the insert's pass that extends that index, and a
+    plan can run a check or a head once per group."""
+    keys = {_key(steps) for _, steps in plans}
+    key = keys.pop() if len(keys) == 1 else ()
+    if (plans[0][1][0].rel, key) not in looked_up:
+        return ()
+    if all(_checks(steps[0].patterns, key, ()) for _, steps in plans):
+        return ()
+    return key
+
+
+def _compile(plans: Sequence[tuple[Rule, list[_Step]]], key: tuple[int, ...]) -> _Join:
     """Compile ``plans``, which all start with one relation, into one join:
-    one loop over the rows it is handed, then one block per plan in order.
-    Plans that share a prefix (see ``_prefix``) share one loop over the
-    rows its index lookup finds, and hold their blocks under it.  As checks
-    nest, a mismatch closes only its own plan's block."""
+    one loop over the groups of rows it is handed, by their ``key``
+    columns, then one block per plan in order.  Plans that share a prefix
+    (see ``_prefix``) share one loop over the rows its index lookup finds,
+    and hold their blocks under it.  Each block loops over the group's
+    rows where ``_Source.rule`` places it; with no key, every block is
+    under one loop over them.  As checks nest, a mismatch closes only its
+    own plan's block."""
     src = _Source()
     groups: dict[object, list[tuple[Rule, list[_Step]]]] = {}
     for r, steps in plans:
         groups.setdefault(_prefix(steps) or object(), []).append((r, steps))
     first = plans[0][1][0]
-    cols = [src.temp() for _ in first.patterns]
-    src.line(f"for {_tuple(cols)} in rows:")
+    rows = src.temp()
+    if key:
+        keys = [src.temp() for _ in key]
+        cols = [keys[key.index(c)] if c in key else "_" for c in range(len(first.patterns))]
+        src.line(f"for {_tuple(keys) if len(keys) > 1 else keys[0]}, {rows} in rows:")
+    else:
+        cols = [src.temp() for _ in first.patterns]
+        src.line(f"for _, {rows} in rows:")
+        src.depth += 1
+        src.line(f"for {_tuple(cols)} in {rows}:")
     src.depth += 1
     outer = src.depth
     for prefix, group in groups.items():
         src.depth, matched = outer, [cols]
         if len(group) > 1:
             rel, key_cols, at = prefix
-            key = _tuple([cols[j] for j in at]) if len(at) > 1 else cols[at[0]]
+            at_key = _tuple([cols[j] for j in at]) if len(at) > 1 else cols[at[0]]
             found = ["_" if c in key_cols else src.temp() for c in range(len(group[0][1][1].patterns))]
-            src.line(f"for {_tuple(found)} in {src.bound_name('I', rel, key_cols)}.get({key}, ()):")
+            src.line(f"for {_tuple(found)} in {src.bound_name('I', rel, key_cols)}.get({at_key}, ()):")
             src.depth += 1
             matched.append(found)
         shared = src.depth
@@ -632,8 +783,8 @@ def _compile(plans: Sequence[tuple[Rule, list[_Step]]]) -> _Join:
             for step, names in zip(steps, matched):
                 src.alias(step.patterns, names)
             src.unpacked()
-            src.rule(r, steps[len(matched) :])
-    return src.join(first.rel)
+            src.rule(r, steps[len(matched) :], (rows, steps[0].patterns, key) if key else None)
+    return src.join(first.rel, key)
 
 
 # The analysis rule sets compile to 38 distinct texts over m=0..2, both
@@ -692,7 +843,14 @@ def _program(rs: RuleSet, naive: bool) -> list[_Stratum]:
                 steps = _plan(r, None)
                 once.setdefault(steps[0].rel, []).append((r, steps))
         heads = tuple(dict.fromkeys(h.rel for r in rules for h in r.heads))
-        compiled = (tuple(map(_compile, once.values())), tuple(map(_compile, joins.values())))
+        looked_up = {
+            (s.rel, s.key_cols) for plans in [*once.values(), *joins.values()] for _, steps in plans for s in steps[1:]
+        }
+
+        def compile(plans: list[tuple[Rule, list[_Step]]]) -> _Join:
+            return _compile(plans, _group_key(plans, looked_up))
+
+        compiled = (tuple(map(compile, once.values())), tuple(map(compile, joins.values())))
         program.append(_Stratum(tuple(scc), heads, *compiled))
     rs.compiled[naive] = program
     return program
@@ -724,12 +882,13 @@ def saturate(
         if fact_ceiling is not None and total > fact_ceiling:
             raise FactCeilingExceeded(total, fact_ceiling)
 
-    def insert(buffers: dict[str, list[tuple]]) -> dict[str, set[tuple]]:
-        """Move every buffered row into the store; return the new ones."""
+    def insert(buffers: dict[str, list[tuple]], keys: dict[str, tuple[int, ...]]) -> dict:
+        """Move every buffered row into the store; return the new ones of
+        each relation, by its key in ``keys`` (see ``bulk_add``)."""
         new = {}
         for rel, rows in buffers.items():
             if rows:
-                added = store.bulk_add(rel, rows)
+                added = store.bulk_add(rel, rows, keys.get(rel, ()))
                 rows.clear()
                 if added:
                     new[rel] = added
@@ -740,20 +899,21 @@ def saturate(
     for stratum in _program(ruleset, naive):
         buffers: dict[str, list[tuple]] = {rel: [] for rel in stratum.heads}
         for join in stratum.once:
-            join.bind(store, buffers)(store.relations[join.rel])
-        insert(buffers)
-        joins = [(j.rel, j.bind(store, buffers)) for j in stratum.joins]
+            join.bind(store, buffers)(store.index(join.rel, join.key).items())
+        insert(buffers, {})
+        joins = [(j, j.bind(store, buffers)) for j in stratum.joins]
         # A round's joins only read the store, and its rows are inserted
         # after it, so the first delta can be the relations themselves.
         # Naive, every round hands each join all of its relation.
+        keys = {} if naive else {j.rel: j.key for j in stratum.joins}
         delta = store.relations if naive else {
-            rel: store.relations[rel] for rel in stratum.rels if store.relations[rel]
+            rel: store.index(rel, keys.get(rel, ())) for rel in stratum.rels if store.relations[rel]
         }
         while delta:
             stats.rounds += 1
-            rows = store.relations if naive else delta
-            for rel, join in joins:
-                if rel in rows:
-                    join(rows[rel])
-            delta = insert(buffers)
+            for j, bound in joins:
+                rows = store.index(j.rel, j.key) if naive else delta.get(j.rel)
+                if rows is not None:
+                    bound(rows.items())
+            delta = insert(buffers, keys)
     return store, stats

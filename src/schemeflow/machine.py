@@ -499,11 +499,10 @@ class Machine:
             self.steps = steps
 
     def result(self) -> AnalysisResult:
-        # The copies are compact: a set grown by add() keeps up to 4x slack
-        # in its table, and the result outlives the machine through
-        # serialization, so handing the sets over raises the peak memory.
+        # The result takes the machine's sets themselves: a copy of each
+        # would hold both at once, raising the peak, and keep barely less.
         return AnalysisResult(
-            relations={name: set(rows) for name, rows in self.relations.items()},
+            relations=self.relations,
             engine="worklist",
             rounds=self.steps,
             peak_facts=self.total_facts,
@@ -544,16 +543,25 @@ def _names_lambda(nodes: dict, val: Term) -> bool:
     return val.tag != "Closure" or type(nodes.get(val.args[0])) is LambdaNode
 
 
+# The number of fields of each frame class, as its apply transition
+# unpacks them.
+_FRAME_FIELDS = {IfK: 4, CallccK: 2, SetK: 2, ArgK: 4, FnK: 4, LetK: 4, Prim1K: 4, Prim2K: 3, MT: 0}
+
+
 def _frame_is_read(nodes: dict, frame: Term) -> bool:
-    """Whether an apply transition reads ``frame``: its class has one, an
-    ``Arg`` frame names the argument list of a call and a ``Fn`` frame's
-    function, if a closure, names a lambda."""
-    if type(frame) not in _APPLY:
+    """Whether an apply transition reads ``frame``: its class has one and
+    its fields are as many as that transition unpacks, an ``Arg`` frame
+    names the argument list of a call, and a ``Fn`` frame's position is an
+    int and its function, if a closure, names a lambda."""
+    fields = _FRAME_FIELDS.get(type(frame))
+    if fields is None or len(frame.args) != fields:
         return False
     if frame.tag == "Arg":
         marker = nodes.get(frame.args[0])
         return type(marker) is ListMarkerNode and type(nodes.get(marker.owner)) is CallNode
-    return frame.tag != "Fn" or _names_lambda(nodes, frame.args[0])
+    if frame.tag == "Fn":
+        return type(frame.args[1]) is int and _names_lambda(nodes, frame.args[0])
+    return True
 
 
 def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, set[tuple]]) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import gc
 import io
 import keyword
@@ -28,8 +29,10 @@ from schemeflow.engine import (
     v,
 )
 from schemeflow.errors import FactCeilingExceeded, RuleError
+from schemeflow.frontend import read_program
 from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import render_row
+from schemeflow.termgen import GenSpec, gen_mcfa_worst
 from schemeflow.terms import Bool, Context, Label, Number, VAddr
 
 from conftest import config, store_of
@@ -615,6 +618,23 @@ class TestSharedPrefix:
         firings = 2 * (stats.rounds if naive else 1)
         assert sorted(calls) == ["neg"] * firings + ["pair"] * firings
 
+    def test_a_term_repeated_across_heads_is_built_once_and_a_ground_one_never(self, plan_texts):
+        relations = {"edge": 2, "left": 1, "right": 2, "five": 2}
+        addr = T("VAddress", v.x, v.y)
+        rules = [
+            rule(
+                "both",
+                [atom("left", addr), atom("right", v.x, addr), atom("five", v.y, T("Number", 5))],
+                [atom("edge", v.x, v.y)],
+            )
+        ]
+        out = saturate_both_ways(relations, rules, {"edge": {("a", 1), ("b", 2)}})
+        assert out.tuples("right") == {("a", VAddr("a", 1)), ("b", VAddr("b", 2))}
+        assert out.tuples("five") == {(1, Number(5)), (2, Number(5))}
+        assert plan_texts
+        for text in plan_texts:
+            assert len(re.findall(r"\bC[0-9]+\[", text)) == 1, text
+
 
 class TestOneJoinPerRelation:
     """A stratum compiles one join per relation that its plans start with,
@@ -705,6 +725,144 @@ class TestOneJoinPerRelation:
         assert [j.rel for j in stratum.once] == ["edge"] and stratum.joins == ()
         out = saturate_both_ways(relations, rules, {"edge": {(1, 1), (1, 2), (2, 3)}, "mark": {(2,), (3,)}})
         assert out.tuples("end") == {(1, "loop"), (2, "to"), (3, "to")}
+
+
+class TestGroupedJoins:
+    """A join whose plans all look its relation's key up first is handed
+    its rows grouped by that key; what reads only the key and the rows its
+    lookup finds runs once per (key, found row)."""
+
+    RELATIONS = {"ev": 2, "frame": 2, "hit": 3}
+    FACTS = {
+        "ev": {(Number(1), 1), (Number(2), 1), (Bool("#t"), 1), (Number(3), 2)},
+        "frame": {
+            (1, VAddr("a", 0)),
+            (1, VAddr("b", 1)),
+            (1, Number(5)),
+            (2, Number(6)),
+            (2, VAddr("c", 0)),
+        },
+    }
+
+    def rules(self, count):
+        return [
+            # Rejects VAddress(_, 1) (constant) and Number frames (struct).
+            rule(
+                "addr",
+                [atom("hit", "addr", v.k, v.x)],
+                [atom("ev", v.val, v.k), atom("frame", v.k, T("VAddress", v.x, 0))],
+            ),
+            # A head of the key and the frame alone.
+            rule(
+                "count",
+                [atom("hit", "count", v.k, A(count, v.n))],
+                [atom("ev", v.val, v.k), atom("frame", v.k, T("Number", v.n))],
+            ),
+            # Reads each row's value, after the rules above rejected frames.
+            rule(
+                "val",
+                [atom("hit", "val", v.val, v.x)],
+                [atom("ev", v.val, v.k), atom("frame", v.k, T("VAddress", v.x, WILD))],
+            ),
+            # Derives nothing, but ties hit to ev and looks ev up by k.
+            rule("echo", [atom("ev", v.b, v.a)], [atom("hit", "echo", v.a, v.b), atom("ev", WILD, v.a)]),
+        ]
+
+    def test_rules_read_each_key_group_once_per_frame(self):
+        calls = []
+
+        def count(n):
+            calls.append(n)
+            return n * 10
+
+        rs = build_ruleset(self.RELATIONS, self.rules(count))
+        (join,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "ev"]
+        assert join.key == (1,)
+        out, stats = saturate(rs, store_of(self.RELATIONS, self.FACTS))
+        assert stats.rounds == 2
+        # Two ev keys with one Number frame each: the ev rows of the first
+        # round are four, the firings of count two.
+        assert sorted(calls) == [5, 6]
+        calls.clear()
+        slow, stats = saturate(rs, store_of(self.RELATIONS, self.FACTS), naive=True)
+        assert sorted(calls) == sorted([5, 6] * stats.rounds)
+        assert out.relations == slow.relations
+        values = [Number(1), Number(2), Bool("#t")]
+        assert out.tuples("hit") == {
+            ("addr", 1, "a"),
+            ("addr", 2, "c"),
+            ("count", 1, 50),
+            ("count", 2, 60),
+            *{("val", val, x) for val in values for x in "ab"},
+            ("val", Number(3), "c"),
+        }
+        assert out.tuples("ev") == self.FACTS["ev"]
+
+    def test_a_head_of_the_key_alone_fires_once_per_group(self):
+        calls = []
+
+        def mark(k):
+            calls.append(k)
+            return k
+
+        relations = {"at": 2, "seen": 1, "back": 1}
+        rules = [
+            rule("seen", [atom("seen", A(mark, v.k))], [atom("at", v.x, v.k), atom("back", v.k)]),
+            rule("back", [atom("at", v.k, v.k)], [atom("seen", v.k), atom("at", WILD, v.k)]),
+        ]
+        rs = build_ruleset(relations, rules)
+        (join,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "at"]
+        assert join.key == (1,)
+        facts = {"at": {(x, k) for x in range(3) for k in "pq"}, "back": {("p",), ("r",)}}
+        out = saturate_both_ways(relations, rules, facts)
+        assert out.tuples("seen") == {("p",)}
+        assert out.tuples("at") == facts["at"] | {("p", "p")}
+        calls.clear()
+        saturate(rs, store_of(relations, facts))
+        # Round 1 hands the join three rows at p, round 3 the one at(p, p).
+        assert calls == ["p", "p"]
+
+    def test_plans_that_share_no_key_take_one_group(self):
+        relations = {"pair": 2, "left": 1, "right": 1, "hit": 2}
+        rules = [
+            rule("l", [atom("hit", "l", v.x)], [atom("pair", v.x, v.y), atom("left", v.x)]),
+            rule("r", [atom("hit", "r", v.y)], [atom("pair", v.x, v.y), atom("right", v.y)]),
+            # Ties pair to hit, and looks pair up by each column.
+            rule(
+                "tie",
+                [atom("pair", v.x, v.x)],
+                [atom("hit", "l", v.x), atom("pair", v.x, WILD), atom("pair", WILD, v.x)],
+            ),
+        ]
+        rs = build_ruleset(relations, rules)
+        (join,) = [j for s in engine._program(rs, False) for j in s.joins if j.rel == "pair"]
+        assert join.key == ()
+        facts = {"pair": {(1, 2), (2, 3), (3, 1)}, "left": {(1,), (3,)}, "right": {(3,)}}
+        out = saturate_both_ways(relations, rules, facts)
+        assert out.tuples("hit") == {("l", 1), ("l", 3), ("r", 3)}
+        assert out.tuples("pair") == facts["pair"] | {(1, 1), (3, 3)}
+
+
+class TestWork:
+    """The rows the analysis buffers, counted at each insert: a join that
+    fires a head once per delta row again would raise them."""
+
+    @pytest.mark.parametrize(
+        "n, k, p, m, rows, state_e",
+        [(16, 1, 0, 0, 19058, 117), (16, 1, 1, 1, 18876, 165)],
+    )
+    def test_rows_handed_to_the_store(self, monkeypatch, n, k, p, m, rows, state_e):
+        handed = collections.Counter()
+        bulk_add = TupleStore.bulk_add
+
+        def counting(store, name, new, *args):
+            handed[name] += len(new)
+            return bulk_add(store, name, new, *args)
+
+        monkeypatch.setattr(TupleStore, "bulk_add", counting)
+        result = analysis.analyze(read_program(gen_mcfa_worst(GenSpec(n, k, p))), config(m=m))
+        assert (sum(handed.values()), handed["state_e"]) == (rows, state_e)
+        assert sum(map(len, result.relations.values())) == {0: 9908, 1: 10200}[m]
 
 
 class TestNoPerRunState:
@@ -852,3 +1010,18 @@ class TestRounds:
         assert store.bulk_add("pair", [(2, "c")]) == set()
         assert sorted(index[1]) == [(1, "a"), (1, "b")]
         assert index[2] == [(2, "c")]
+
+    def test_bulk_add_by_key_groups_the_new_rows_as_the_index_holds_them(self):
+        store = TupleStore({"pair": 2})
+        store.bulk_add("pair", [(1, "a")])
+        other = store.index("pair", (1,))
+        groups = store.bulk_add("pair", [(1, "a"), (1, "b"), (2, "c"), (2, "d")], (0,))
+        assert {k: sorted(rows) for k, rows in groups.items()} == {1: [(1, "b")], 2: [(2, "c"), (2, "d")]}
+        index = store.index("pair", (0,))
+        assert sorted(index[1]) == [(1, "a"), (1, "b")]
+        assert sorted(index[2]) == [(2, "c"), (2, "d")]
+        assert other["d"] == [(2, "d")]
+        assert store.bulk_add("pair", [(2, "e"), (3, "f")], (0,)) == {2: [(2, "e")], 3: [(3, "f")]}
+        assert sorted(index[2]) == [(2, "c"), (2, "d"), (2, "e")]
+        assert store.bulk_add("pair", [(3, "f")], (0,)) == {}
+        assert store.bulk_add("pair", [(4, "g")], ()) == {(): {(4, "g")}}

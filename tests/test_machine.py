@@ -392,7 +392,9 @@ class TestRecheck:
     # whose address holds the Fn frame, and e99 no node; and for
     # (call/cc (lambda (k) k)), where e1's address holds the Callcc frame.
     # Before the check, the Fn and Arg frames and the closure raised
-    # KeyError or AttributeError from the transition that reads them.
+    # KeyError or AttributeError from the transition that reads them, the
+    # If frame of one field ValueError, and the Fn frame at position "a"
+    # TypeError.
     @pytest.mark.parametrize(
         "source, rel, row",
         [
@@ -414,6 +416,15 @@ class TestRecheck:
                 (KAddr(L(1), EMPTY_CONTEXT), ArgK(L(5), EMPTY_CONTEXT, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
             ),
             ("(call/cc (lambda (k) k))", "state_a", (Closure(L(99), EMPTY_CONTEXT), KAddr(L(1), EMPTY_CONTEXT))),
+            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(5), EMPTY_CONTEXT), IfK(L(1)))),
+            (
+                "((lambda (x) x) 1)",
+                "stored_kont",
+                (
+                    KAddr(L(5), EMPTY_CONTEXT),
+                    FnK(Closure(L(1), EMPTY_CONTEXT), "a", EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)),
+                ),
+            ),
         ],
         ids=[
             "state_e-e99",
@@ -423,6 +434,8 @@ class TestRecheck:
             "stored_kont-fn-closure-e99",
             "stored_kont-arg-not-an-argument-list",
             "state_a-closure-e99",
+            "stored_kont-if-of-one-field",
+            "stored_kont-fn-position-not-an-int",
         ],
     )
     def test_malformed_row_is_a_validation_error(self, source, rel, row):
