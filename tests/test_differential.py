@@ -142,6 +142,20 @@ def test_agreement_survives_widening_choices(corpus_programs):
             pytest.param("(let ((z 5)) (call/cc (lambda (k) z)))", m, id=f"callcc-reads-free-m{m}")
             for m in (0, 1)
         ),
+        # A frame that reaches a continuation address already holding a
+        # value: the machine's stored_kont handler runs the apply, and the
+        # flow edge it derives has no other derivation.  Here the Prim2
+        # frame of the second call arrives after 5 (flow_aa of
+        # (PrimVal + (Number 2) (Number 5))) ...
+        pytest.param(
+            "(let ((f (lambda (z) (+ z 5)))) (let ((a (f 1))) (f 2)))", 0, id="kont-after-value-flow-aa-m0"
+        ),
+        # ... and the Fn frame of the second closure arrives after 7 (flow_ae).
+        pytest.param(
+            "(let ((g (lambda (h) (h 7)))) (let ((a (g (lambda (x) x)))) (g (lambda (y) y))))",
+            0,
+            id="kont-after-value-flow-ae-m0",
+        ),
     ],
 )
 def test_agreement_on_fresh_source_text(source, m):

@@ -4,17 +4,20 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from schemeflow import serialize
 from schemeflow.errors import FactCeilingExceeded, ValidationError
-from schemeflow.frontend import extract_facts
+from schemeflow.frontend import extract_facts, read_program
 from schemeflow.machine import run_fixpoint
 from schemeflow.serialize import (
+    GROUPED_ROWS_PER_FIRST,
     OUTPUT_RELATIONS,
-    _result_lines,
     relation_text,
     render_row,
     report_json,
@@ -22,6 +25,7 @@ from schemeflow.serialize import (
     write_result_dir,
     write_result_json,
 )
+from schemeflow.termgen import GenSpec, gen_mcfa_worst
 from schemeflow.terms import (
     ArgK,
     Bool,
@@ -122,6 +126,13 @@ def json_text(relations) -> str:
     return out.getvalue()
 
 
+def tsv_texts(relations) -> dict[str, str]:
+    """The text of each file ``write_result_dir`` writes in TSV."""
+    with tempfile.TemporaryDirectory() as out:
+        write_result_dir(relations, out)
+        return {name: (Path(out) / f"{name}.tsv").read_text() for name in OUTPUT_RELATIONS}
+
+
 # Identifiers hold no space, tab, CR, newline, parentheses or '~' of their
 # own (the reader's rules); these also need JSON escapes, sort below '\t',
 # or are prefixes of one another.  The backslashes, the literal escape texts
@@ -152,9 +163,28 @@ values = st.recursive(
 )
 columns = st.one_of(labels, contexts, kaddrs, values, st.builds(VAddr, names, contexts))
 relation = st.integers(1, 3).flatmap(lambda k: st.sets(st.tuples(*[columns] * k), max_size=8))
-relation_sets = st.dictionaries(st.sampled_from(OUTPUT_RELATIONS), relation, max_size=3)
+
+
+def grouped_relation_of(width: int):
+    """A few first terms, each followed by the first n of one list of
+    rests, n drawn per term: so each first term repeats at least
+    ``GROUPED_ROWS_PER_FIRST`` times, and terms with equal n share their
+    set of rests."""
+    rests = st.lists(st.tuples(*[columns] * (width - 1)), min_size=GROUPED_ROWS_PER_FIRST, max_size=16)
+    firsts = st.lists(st.tuples(columns, st.integers(GROUPED_ROWS_PER_FIRST, 16)), min_size=1, max_size=3)
+    return st.tuples(rests, firsts).map(
+        lambda drawn: {(first, *rest) for first, n in drawn[1] for rest in drawn[0][:n]}
+    )
+
+
+grouped_relation = st.integers(2, 3).flatmap(grouped_relation_of)
+relation_sets = st.dictionaries(st.sampled_from(OUTPUT_RELATIONS), relation | grouped_relation, max_size=3)
 
 PREFIX_ROWS = {(VAddr(x, EMPTY_CONTEXT), Label(f"e{i}")) for x in NAMES for i in (1, 12)}
+# Names in the first column, each before enough labels to be written grouped.
+GROUPED_PREFIX_ROWS = {
+    (VAddr(x, EMPTY_CONTEXT), Label(f"e{i}")) for x in NAMES for i in (1, 12, 2, 21, 3, 31, 4, 41)
+}
 
 
 def reference_text(x) -> str:
@@ -203,14 +233,30 @@ class TestTermText:
                 text = "(" + " ".join([term.tag, *texts]) + ")"
                 assert term._text == text or (term._text is None and len(text) > INTERNED_TEXT_MAX)
 
-    @pytest.mark.parametrize("fmt, leaf", [("tsv", -701), ("json", -702)])
-    def test_a_long_text_is_built_on_first_render(self, fmt, leaf, tmp_path):
+    @pytest.mark.parametrize(
+        "fmt, leaf, grouped",
+        [
+            pytest.param("tsv", -701, False, id="tsv--701"),
+            pytest.param("json", -702, False, id="json--702"),
+            pytest.param("tsv", -703, True, id="tsv--703-grouped"),
+            pytest.param("json", -704, True, id="json--704-grouped"),
+        ],
+    )
+    def test_a_long_text_is_built_on_first_render(self, fmt, leaf, grouped, tmp_path):
         # Terms of their own, so that no earlier render built their texts.
-        name = f"{fmt}~" + "9" * INTERNED_TEXT_MAX
+        name = f"{fmt}{leaf}~" + "9" * INTERNED_TEXT_MAX
         value = Number(leaf)
         for _ in range(INTERNED_TEXT_MAX // 10):
             value = PrimVal("+", value, Number(2))
         relations = {"flow_ae": {(VAddr(name, CTX1), e1)}, "state_a": {(value, AK)}}
+        if grouped:
+            # The long name first and the long value second, each in a
+            # relation that repeats its first term enough to be grouped.
+            labels = [Label(f"e{i}") for i in range(GROUPED_ROWS_PER_FIRST)]
+            relations = {
+                "flow_ae": {(VAddr(name, CTX1), label) for label in labels},
+                "stored_val": {(VAddr("v~1", CTX1), v) for v in (value, *map(Number, range(len(labels))))},
+            }
         long_terms = [VAddr(name, CTX1), value]
         assert [term._text for term in long_terms] == [None, None]
         write_result_dir(relations, tmp_path, format=fmt)
@@ -247,12 +293,40 @@ class TestSorting:
 
     @given(relation_sets)
     @example({name: PREFIX_ROWS if name == "flow_ae" else set() for name in OUTPUT_RELATIONS})
+    # The rows the other way round: two labels, e1 and e12, each before
+    # every name, so grouped, with the names' escapes in the second column.
     @example({name: {row[::-1] for row in PREFIX_ROWS} for name in OUTPUT_RELATIONS})
+    # Grouped on the names: x~1 before x~12, and escapes in the first column.
+    @example({"stored_val": GROUPED_PREFIX_ROWS, "flow_ea": {row[::-1] for row in GROUPED_PREFIX_ROWS}})
     def test_writers_equal_the_tuple_sort_and_json_dumps(self, relations):
         for rows in relations.values():
             assert relation_text(rows) == reference_relation_text(rows)
-            assert relation_text(rows, _result_lines) == reference_relation_text(rows)
+        expected = {name: reference_relation_text(relations.get(name, set())) for name in OUTPUT_RELATIONS}
+        assert tsv_texts(relations) == expected
         assert json_text(relations) == reference_json_text(relations)
+
+    @pytest.mark.parametrize(
+        "spec, m, grouped",
+        [(GenSpec(16, 1, 0), 0, {"state_a", "stored_val", "flow_aa", "flow_ea"}), (GenSpec(256, 4, 0), 2, set())],
+        ids=["conflated-16-1-0-m0", "precise-256-4-0-m2"],
+    )
+    def test_the_relations_written_grouped(self, spec, m, grouped, monkeypatch, tmp_path):
+        # A conflated cell's large relations repeat their first terms many
+        # times; no relation of a precise cell does.
+        relations = run_fixpoint(read_program(gen_mcfa_worst(spec)), config(m=m)).relations
+        seen = []
+
+        def blocks(rows, *args):
+            seen.append(set(rows))
+            return write_blocks(rows, *args)
+
+        write_blocks = serialize._blocks
+        monkeypatch.setattr(serialize, "_blocks", blocks)
+        for fmt in ("tsv", "json"):
+            seen.clear()
+            write_result_dir(relations, tmp_path, format=fmt)
+            assert {name for name in OUTPUT_RELATIONS if relations[name] in seen} == grouped
+            assert len(seen) == len(grouped)
 
     def test_corpus_outputs_equal_the_reference_writers(self, corpus_programs):
         for program in corpus_programs.values():
@@ -307,7 +381,8 @@ class TestResultDirs:
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
-            write_result_dir(self.relations(), tmp_path, format="csv")
+            write_result_dir(self.relations(), tmp_path / "new", format="csv")
+        assert not (tmp_path / "new").exists()
 
 
 class TestRunReport:
