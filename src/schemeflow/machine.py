@@ -35,6 +35,13 @@ context copy) is processed exactly once, by the handler that
 the facts already processed, so every rule instance fires exactly once no
 matter the order.  The final relation sets are order-independent because
 each emission depends only on the joined pair, never on driver state.
+
+A ``let`` body's ``state_e`` and a ``set!``'s ``state_a((Number -42), …)``
+read only the frame.  The handlers emit each of these ``_HEADS`` once per
+(address, frame), just before the frame's first firing: that is where its
+row is first new if every firing emits it, so the queue order, ``steps``,
+``peak_facts`` and the trace stay the same.  ``_apply_let`` and
+``_apply_prim2`` emit their flow edge only if its relation lacks it.
 """
 
 from __future__ import annotations
@@ -233,11 +240,13 @@ def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
 
 
 def _apply_set(s, val: Term, ak: KAddr, frame: SetK) -> None:
-    loc, next_ak = frame.args
     emit = s.emit
-    emit("state_a", (Number._pool[-42,], next_ak))
-    emit("stored_val", (loc, val))
+    emit("stored_val", (frame.args[0], val))
     emit("flow_aa", (val, Number._pool[-42,]))
+
+
+def _head_set(s, frame: SetK) -> None:
+    s.emit("state_a", (Number._pool[-42,], frame.args[1]))
 
 
 def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
@@ -262,10 +271,14 @@ def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
 
 def _apply_let(s, val: Term, ak: KAddr, frame: LetK) -> None:
     av, ebody, ctx, next_ak = frame.args
-    emit = s.emit
-    emit("state_e", (ebody, ctx, next_ak))
-    emit("stored_val", (av, val))
-    emit("flow_ae", (val, ebody))
+    s.emit("stored_val", (av, val))
+    if (val, ebody) not in s.relations["flow_ae"]:
+        s.emit("flow_ae", (val, ebody))
+
+
+def _head_let(s, frame: LetK) -> None:
+    av, ebody, ctx, next_ak = frame.args
+    s.emit("state_e", (ebody, ctx, next_ak))
 
 
 def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
@@ -276,9 +289,9 @@ def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
 def _apply_prim2(s, val: Term, ak: KAddr, frame: Prim2K) -> None:
     op, v1, next_ak = frame.args
     widened = widen_value(PrimVal._pool[op, v1, val], s.cfg.widen_depth)
-    emit = s.emit
-    emit("state_a", (widened, next_ak))
-    emit("flow_aa", (val, widened))
+    s.emit("state_a", (widened, next_ak))
+    if (val, widened) not in s.relations["flow_aa"]:
+        s.emit("flow_aa", (val, widened))
 
 
 def _apply_halt(s, val: Term, ak: KAddr, frame: MT) -> None:
@@ -296,6 +309,9 @@ _APPLY = {
     Prim2K: _apply_prim2,
     MT: _apply_halt,
 }
+
+# The apply heads that read only the frame (see the module docstring).
+_HEADS = {LetK: _head_let, SetK: _head_set}
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +370,29 @@ def _on_state_a(m: "Machine", row: tuple) -> None:
     # Join the new value against already-processed frames only; the
     # reverse direction happens when those frames are processed.
     frames = m.kstore.get(ak, ())
-    if m.trace is None:
+    vals = m._avals.get(ak)
+    if vals is not None and m.trace is None:
         for frame in frames:
             _APPLY[type(frame)](m, val, ak, frame)
     else:
+        # Traced, or the first value at ``ak``, which fires each frame
+        # for the first time.
         for frame in frames:
-            m._t(_apply_rule_name(val, frame), val, ak, frame)
+            if m.trace is not None:
+                m._t(_apply_rule_name(val, frame), val, ak, frame)
+            if vals is None and type(frame) in _HEADS:
+                _HEADS[type(frame)](m, frame)
             _APPLY[type(frame)](m, val, ak, frame)
-    m._avals.setdefault(ak, []).append(val)
+        vals = m._avals.setdefault(ak, [])
+    vals.append(val)
 
 
 def _on_stored_kont(m: "Machine", row: tuple) -> None:
     ak, frame = row
     vals = m._avals.get(ak, ())
     apply = _APPLY[type(frame)]
+    if vals and type(frame) in _HEADS:
+        _HEADS[type(frame)](m, frame)
     if m.trace is None:
         for val in vals:
             apply(m, val, ak, frame)
@@ -380,15 +405,15 @@ def _on_stored_kont(m: "Machine", row: tuple) -> None:
 
 def _on_stored_val(m: "Machine", row: tuple) -> None:
     av, val = row
-    emit = m.emit
+    # Most stored values have no reader and no copy target: bind no emit.
     for e, ak in m.var_reads.get(av, ()):
         if m.trace is not None:
             m._t("e-ae", e, val)
-        _arrive(emit, e, val, ak)
+        _arrive(m.emit, e, val, ak)
     for dst in m.copy_to.get(av, ()):
         if m.trace is not None:
             m._t("copy", *av.args, dst.args[1])
-        emit("stored_val", (dst, val))
+        m.emit("stored_val", (dst, val))
     m.vstore.setdefault(av, {})[val] = None
 
 

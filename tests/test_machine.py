@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import typing
@@ -12,7 +13,7 @@ import pytest
 from schemeflow import frontend
 from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, analyze
 from schemeflow.errors import FactCeilingExceeded, ValidationError
-from schemeflow.frontend import free_vars, read_program
+from schemeflow.frontend import LetNode, free_vars, read_program
 from schemeflow.machine import (
     _APPLY,
     _EVAL,
@@ -41,6 +42,7 @@ from schemeflow.terms import (
     make_context,
     render,
 )
+from schemeflow.termgen import GenSpec, gen_mcfa_worst
 
 from conftest import CORPUS_DIR, config, corpus_ids
 
@@ -289,6 +291,54 @@ class TestTables:
             assert machine.steps == sum(len(relations[rel]) for rel in Machine.HANDLERS), name
 
 
+class TestWork:
+    """The rows the machine offers to ``emit``, counted per call: a
+    transition that emits a frame-only head on every firing again, or
+    offers a flow edge its relation holds, would raise them."""
+
+    @pytest.mark.parametrize(
+        "n, k, p, m, total, offered, steps, facts",
+        [
+            (16, 1, 0, 0, 10977, {"state_e": 356, "flow_ae": 546, "flow_aa": 256}, 8928, 10003),
+            (16, 1, 1, 1, 10756, {"state_e": 404, "flow_ae": 578, "flow_aa": 256}, 9104, 10302),
+        ],
+    )
+    def test_emit_calls(self, monkeypatch, n, k, p, m, total, offered, steps, facts):
+        calls = Counter()
+        emit = Machine.emit
+
+        def counting(machine, rel, row):
+            calls[rel] += 1
+            emit(machine, rel, row)
+
+        monkeypatch.setattr(Machine, "emit", counting)
+        machine = Machine(read_program(gen_mcfa_worst(GenSpec(n, k, p))), config(m=m))
+        machine.run()
+        assert sum(calls.values()) == total
+        assert {rel: calls[rel] for rel in offered} == offered
+        assert (machine.steps, machine.total_facts) == (steps, facts)
+
+
+# The SHA-256 of the ``oracle --trace`` bytes, ``steps`` and ``peak_facts``
+# of every corpus program at m=0..2 in both truthiness modes.  A change
+# that alters the trace on purpose re-pins it and says so in CHANGES.md.
+TRACE_SHA256 = "ccfd33ff13df37c162301a48298a0cd5e4fbfc2da724e69ef3799d740f568fa7"
+
+
+def test_corpus_traces_are_pinned(corpus_programs):
+    digest = hashlib.sha256()
+    for name in corpus_ids():
+        for m in (0, 1, 2):
+            for truthiness in TRUTHINESS_MODES:
+                lines: list[str] = []
+                cfg = config(m=m, primval_truthiness=truthiness)
+                result = run_fixpoint(corpus_programs[name], cfg, trace=lines.append)
+                digest.update(f"{name} m={m} {truthiness}\n".encode())
+                digest.update("".join(line + "\n" for line in lines).encode())
+                digest.update(f"steps={result.rounds} peak_facts={result.peak_facts}\n".encode())
+    assert digest.hexdigest() == TRACE_SHA256
+
+
 class TestOrderIndependence:
     @pytest.mark.parametrize("stem", ["16_conflate_branches", "17_vanhorn", "10_callcc_invoke"])
     def test_random_worklist_orders_agree(self, stem):
@@ -386,6 +436,37 @@ class TestRecheck:
         relations[rel].remove(min(rows, key=lambda row: tuple(map(render, row))))
         with pytest.raises(ValidationError, match=rf"^not a fixpoint: \('{source}', "):
             recheck(program, cfg, relations)
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "stem, rel",
+        [
+            ("07_let_nested", "state_e"),
+            ("08_set_basic", "state_a"),
+            ("07_let_nested", "flow_ae"),
+            ("12_prim_add", "flow_aa"),
+        ],
+    )
+    def test_dropped_head_of_a_split_transition_detected(self, stem, rel, m):
+        """The heads that the machine emits once per (address, frame), a
+        ``let`` body's ``state_e`` and ``set!``'s ``state_a((Number -42),
+        …)``, and the flow edges ``_apply_let`` and ``_apply_prim2`` emit
+        only when new: ``recheck`` re-derives each dropped row."""
+        program, cfg = read_program(corpus(stem)), config(m=m)
+        relations = run_fixpoint(program, cfg).relations
+        bodies = {node.body for node in program.nodes.values() if isinstance(node, LetNode)}
+        split = {
+            "state_e": lambda row: row[0] in bodies,
+            "state_a": lambda row: row[0] is Number(-42),
+            "flow_ae": lambda row: row[1] in bodies,
+            "flow_aa": lambda row: row[1].tag == "PrimVal",
+        }[rel]
+        rows = [row for row in relations[rel] if split(row)]
+        assert rows
+        for row in rows:
+            rederived = re.escape(f" re-derives {rel}{row}")
+            with pytest.raises(ValidationError, match=rf"^not a fixpoint: \('state_a', .*{rederived}$"):
+                recheck(program, cfg, {**relations, rel: relations[rel] - {row}})
 
     # Rows that no transition reads, added to the result for
     # ((lambda (x) x) 1): e4 labels its argument list, e5 the argument 1,
