@@ -8,11 +8,16 @@ deductive rule of the analysis module head-for-head (flow edges included),
 so for any program and configuration the two paths must produce identical
 relation sets — that equality is the core differential test.
 
-The transitions are two tables of plain functions: ``_EVAL`` maps each
-expression node class to its eval transition and ``_APPLY`` maps each
-continuation-frame class to its apply transition; the halt frame maps to a
-no-op.  A ``state_e`` row only ever names an expression, so operator and
-list-marker labels have none.  The first argument of a transition is always
+The transitions are two tables of plain functions: ``_EVAL_RULES`` maps
+each expression node class to its eval transition and its rule name, and
+``_FRAMES`` maps each continuation-frame class to its apply transition, its
+rule name (for ``Callcc`` and ``Fn`` frames a function of the value and the
+frame) and the number of fields the transition unpacks; the halt frame maps
+to a no-op.  A ``state_e`` row only ever names an expression, so operator
+and list-marker labels have none.  ``_EVAL`` and ``_APPLY`` keep the
+transitions alone, and their traced copies write each rule instance's trace
+line and then fire it; a machine picks the untraced or the traced pair once,
+when it is built.  The first argument of a transition is always
 a ``Machine``: the transition reads the program, the configuration and the
 value store where the machine keeps them, and hands every fact it derives
 to the machine's ``emit``.  ``recheck`` is a run of the same machine over a
@@ -135,8 +140,11 @@ def _eval_bool(s, node: BoolNode, e: Label, ctx: Context, ak: KAddr) -> None:
 
 
 def _eval_var(s, node: VarNode, e: Label, ctx: Context, ak: KAddr) -> None:
+    # The values stored later arrive through ``_on_stored_val``.
+    av = VAddr._pool[node.name, ctx]
+    s.var_reads.setdefault(av, []).append((e, ak))
     emit = s.emit
-    for val in s.vstore.get(VAddr._pool[node.name, ctx], ()):
+    for val in s.vstore.get(av, ()):
         _arrive(emit, e, val, ak)
 
 
@@ -176,17 +184,18 @@ def _eval_prim(s, node: PrimCallNode, e: Label, ctx: Context, ak: KAddr) -> None
     _eval_sub(s.emit, e, ea0, ctx, Prim1K._pool[node.op_name, ea1, ctx, ak], "flow_ee")
 
 
-_EVAL = {
-    NumNode: _eval_num,
-    BoolNode: _eval_bool,
-    VarNode: _eval_var,
-    LambdaNode: _eval_lambda,
-    IfNode: _eval_if,
-    SetNode: _eval_set,
-    CallccNode: _eval_callcc,
-    CallNode: _eval_call,
-    LetNode: _eval_let,
-    PrimCallNode: _eval_prim,
+# Expression class -> (eval transition, rule name).
+_EVAL_RULES = {
+    NumNode: (_eval_num, "e-ae"),
+    BoolNode: (_eval_bool, "e-ae"),
+    VarNode: (_eval_var, "e-ae"),
+    LambdaNode: (_eval_lambda, "e-ae"),
+    IfNode: (_eval_if, "e-if"),
+    SetNode: (_eval_set, "e-set!"),
+    CallccNode: (_eval_callcc, "e-callcc"),
+    CallNode: (_eval_call, "e-call"),
+    LetNode: (_eval_let, "e-let"),
+    PrimCallNode: (_eval_prim, "e-prim"),
 }
 
 
@@ -298,71 +307,65 @@ def _apply_halt(s, val: Term, ak: KAddr, frame: MT) -> None:
     """The final address: values here are results, with no successor."""
 
 
-_APPLY = {
-    IfK: _apply_if,
-    CallccK: _apply_callcc,
-    SetK: _apply_set,
-    ArgK: _apply_arg,
-    FnK: _apply_fn,
-    LetK: _apply_let,
-    Prim1K: _apply_prim1,
-    Prim2K: _apply_prim2,
-    MT: _apply_halt,
+# Frame class -> (apply transition, rule name or a function of the value
+# and the frame that returns it, number of fields the transition unpacks).
+_FRAMES = {
+    IfK: (_apply_if, "a-if", 4),
+    CallccK: (_apply_callcc, lambda val, frame: "a-callcc-kont" if val.tag == "Kont" else "a-callcc", 2),
+    SetK: (_apply_set, "a-set!", 2),
+    ArgK: (_apply_arg, "a-arg", 4),
+    FnK: (_apply_fn, lambda val, frame: "a-call-kont" if frame.args[0].tag == "Kont" else "a-call", 4),
+    LetK: (_apply_let, "a-let", 4),
+    Prim1K: (_apply_prim1, "a-prim1", 4),
+    Prim2K: (_apply_prim2, "a-prim2", 3),
+    MT: (_apply_halt, "a-halt", 0),
 }
 
 # The apply heads that read only the frame (see the module docstring).
 _HEADS = {LetK: _head_let, SetK: _head_set}
 
 
+def _traced_eval(fire, rule: str):
+    def traced(s, node, e: Label, ctx: Context, ak: KAddr) -> None:
+        s._t(rule, e, ctx, ak)
+        fire(s, node, e, ctx, ak)
+
+    return traced
+
+
+def _traced_apply(fire, rule):
+    name = rule if callable(rule) else lambda val, frame: rule
+
+    def traced(s, val: Term, ak: KAddr, frame: Term) -> None:
+        s._t(name(val, frame), val, ak, frame)
+        fire(s, val, ak, frame)
+
+    return traced
+
+
+_EVAL = {cls: fire for cls, (fire, _) in _EVAL_RULES.items()}
+_APPLY = {cls: fire for cls, (fire, _, _) in _FRAMES.items()}
+_TRACED_EVAL = {cls: _traced_eval(fire, rule) for cls, (fire, rule) in _EVAL_RULES.items()}
+_TRACED_APPLY = {cls: _traced_apply(fire, rule) for cls, (fire, rule, _) in _FRAMES.items()}
+
+
 # ---------------------------------------------------------------------------
 # The worklist fixpoint
 # ---------------------------------------------------------------------------
-
-_EVAL_RULE_NAMES = {
-    NumNode: "e-ae",
-    BoolNode: "e-ae",
-    LambdaNode: "e-ae",
-    VarNode: "e-ae",
-    IfNode: "e-if",
-    SetNode: "e-set!",
-    CallccNode: "e-callcc",
-    CallNode: "e-call",
-    LetNode: "e-let",
-    PrimCallNode: "e-prim",
-}
-
-
-def _apply_rule_name(val: Term, frame: Term) -> str:
-    tag = frame.tag
-    if tag == "If":
-        return "a-if"
-    if tag == "Callcc":
-        return "a-callcc-kont" if val.tag == "Kont" else "a-callcc"
-    if tag == "Fn":
-        return "a-call-kont" if frame.args[0].tag == "Kont" else "a-call"
-    if tag == "Set":
-        return "a-set!"
-    if tag == "MT":
-        return "a-halt"
-    return {"Arg": "a-arg", "Let": "a-let", "Prim1": "a-prim1", "Prim2": "a-prim2"}[tag]
-
 
 # The event handlers.  A handler joins its new fact against the facts of
 # the events processed before it.  The transitions it calls only queue facts
 # through ``emit``, and a store entry grows only in its own relation's
 # handler, so a handler iterates the entries it reads without copying them.
-# Each handler tests ``m.trace`` once per event; the traced branch names
-# each rule instance before firing it.
+# The transitions come from the machine's ``_eval`` and ``_apply``, whose
+# traced copies name each rule instance before firing it; only the two
+# handlers whose joins are not table transitions test ``m.trace``.
 
 
 def _on_state_e(m: "Machine", row: tuple) -> None:
     e, ctx, ak = row
     node = m.program.nodes[e]
-    if m.trace is not None:
-        m._t(_EVAL_RULE_NAMES[type(node)], e, ctx, ak)
-    if isinstance(node, VarNode):
-        m.var_reads.setdefault(VAddr._pool[node.name, ctx], []).append((e, ak))
-    _EVAL[type(node)](m, node, e, ctx, ak)
+    m._eval[type(node)](m, node, e, ctx, ak)
 
 
 def _on_state_a(m: "Machine", row: tuple) -> None:
@@ -371,36 +374,29 @@ def _on_state_a(m: "Machine", row: tuple) -> None:
     # reverse direction happens when those frames are processed.
     frames = m.kstore.get(ak, ())
     vals = m._avals.get(ak)
-    if vals is not None and m.trace is None:
+    apply = m._apply
+    if vals is None:
+        # The first value at ``ak`` fires each frame for the first time.
         for frame in frames:
-            _APPLY[type(frame)](m, val, ak, frame)
-    else:
-        # Traced, or the first value at ``ak``, which fires each frame
-        # for the first time.
-        for frame in frames:
-            if m.trace is not None:
-                m._t(_apply_rule_name(val, frame), val, ak, frame)
-            if vals is None and type(frame) in _HEADS:
+            if type(frame) in _HEADS:
                 _HEADS[type(frame)](m, frame)
-            _APPLY[type(frame)](m, val, ak, frame)
-        vals = m._avals.setdefault(ak, [])
+            apply[type(frame)](m, val, ak, frame)
+        vals = m._avals[ak] = []
+    else:
+        for frame in frames:
+            apply[type(frame)](m, val, ak, frame)
     vals.append(val)
 
 
 def _on_stored_kont(m: "Machine", row: tuple) -> None:
     ak, frame = row
     vals = m._avals.get(ak, ())
-    apply = _APPLY[type(frame)]
     if vals and type(frame) in _HEADS:
         _HEADS[type(frame)](m, frame)
-    if m.trace is None:
-        for val in vals:
-            apply(m, val, ak, frame)
-    else:
-        for val in vals:
-            m._t(_apply_rule_name(val, frame), val, ak, frame)
-            apply(m, val, ak, frame)
-    m.kstore.setdefault(ak, {})[frame] = None
+    apply = m._apply[type(frame)]
+    for val in vals:
+        apply(m, val, ak, frame)
+    m.kstore.setdefault(ak, []).append(frame)
 
 
 def _on_stored_val(m: "Machine", row: tuple) -> None:
@@ -414,7 +410,7 @@ def _on_stored_val(m: "Machine", row: tuple) -> None:
         if m.trace is not None:
             m._t("copy", *av.args, dst.args[1])
         m.emit("stored_val", (dst, val))
-    m.vstore.setdefault(av, {})[val] = None
+    m.vstore.setdefault(av, []).append(val)
 
 
 def _on_copy_ctx(m: "Machine", row: tuple) -> None:
@@ -457,11 +453,11 @@ class Machine:
         # Each relation's rows, and whether a new row is an event.
         self._sinks = {name: (rows, name in self.HANDLERS) for name, rows in self.relations.items()}
         # The global stores (address -> values / frames); they only grow.
-        # Each entry is an insertion-ordered dict used as a set: terms hash
-        # by identity, so iterating a set of them would order the trace by
-        # memory address.
-        self.vstore: dict[Term, dict[Term, None]] = {}
-        self.kstore: dict[Term, dict[Term, None]] = {}
+        # Each entry is a list: each row reaches its handler once, so none
+        # repeats, and it keeps insertion order, where a set of terms, which
+        # hash by identity, would order the trace by memory address.
+        self.vstore: dict[Term, list[Term]] = {}
+        self.kstore: dict[Term, list[Term]] = {}
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
         # Source address VAddr(x, frm) -> the addresses VAddr(x, to) that the
         # copy_ctx events seen so far copy it to, one per event.
@@ -473,10 +469,11 @@ class Machine:
         # No ceiling is an infinite one, so emit compares without a branch.
         self.ceiling = math.inf if cfg.fact_ceiling is None else cfg.fact_ceiling
         self.trace = trace
+        self._eval, self._apply = (_EVAL, _APPLY) if trace is None else (_TRACED_EVAL, _TRACED_APPLY)
 
     def _t(self, rule: str, *cols) -> None:
-        # Callers test ``self.trace`` first, so an untraced run neither
-        # names the rule nor renders its columns.
+        # Only the traced tables and the handlers that test ``self.trace``
+        # call this, so an untraced run neither names a rule nor renders.
         self.trace(rule + "\t" + " ".join(map(render, cols)))
 
     # -- fact intake ---------------------------------------------------
@@ -562,30 +559,28 @@ class _Recheck(Machine):
             raise ValidationError(f"not a fixpoint: {self.source} re-derives {rel}{row}")
 
 
-def _names_lambda(nodes: dict, val: Term) -> bool:
-    """Whether ``val``, if it is a closure, names a lambda, as ``_enter``
-    reads it."""
-    return val.tag != "Closure" or type(nodes.get(val.args[0])) is LambdaNode
-
-
-# The number of fields of each frame class, as its apply transition
-# unpacks them.
-_FRAME_FIELDS = {IfK: 4, CallccK: 2, SetK: 2, ArgK: 4, FnK: 4, LetK: 4, Prim1K: 4, Prim2K: 3, MT: 0}
+def _names_lambda(nodes: dict, val: object) -> bool:
+    """Whether ``val`` is a term and, if it is a closure, names a lambda, as
+    ``_enter`` reads it."""
+    return isinstance(val, Term) and (val.tag != "Closure" or type(nodes.get(val.args[0])) is LambdaNode)
 
 
 def _frame_is_read(nodes: dict, frame: Term) -> bool:
     """Whether an apply transition reads ``frame``: its class has one and
     its fields are as many as that transition unpacks, an ``Arg`` frame
-    names the argument list of a call, and a ``Fn`` frame's position is an
-    int and its function, if a closure, names a lambda."""
-    fields = _FRAME_FIELDS.get(type(frame))
-    if fields is None or len(frame.args) != fields:
+    names the argument list of a call, a ``Fn`` frame's position is an int
+    and its function a term that, if a closure, names a lambda, and a
+    ``Prim2`` frame's first value is a term."""
+    entry = _FRAMES.get(type(frame))
+    if entry is None or len(frame.args) != entry[2]:
         return False
     if frame.tag == "Arg":
         marker = nodes.get(frame.args[0])
         return type(marker) is ListMarkerNode and type(nodes.get(marker.owner)) is CallNode
     if frame.tag == "Fn":
         return type(frame.args[1]) is int and _names_lambda(nodes, frame.args[0])
+    if frame.tag == "Prim2":
+        return isinstance(frame.args[1], Term)
     return True
 
 
@@ -594,8 +589,8 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
     handler of every result row derive nothing that is not in it.  Raises
     ValidationError naming the first fact derived but missing, a ``freevar``
     row that is not one of the program's free variables, or a row whose
-    label, frame or closure no transition reads.  Any other extra row is
-    accepted: this checks closure, not leastness.
+    label, context, value, frame or closure no transition reads.  Any other
+    extra row is accepted: this checks closure, not leastness.
 
     The store rows go first: no reader is registered yet, so their handlers
     only fill the stores.  Each join then fires once, from its ``state_e``,
@@ -610,10 +605,11 @@ def recheck(program: LabeledProgram, cfg: AnalysisConfig, relations: dict[str, s
         handler = Machine.HANDLERS[rel]
         for row in relations[rel]:
             chk.source = (rel, *row)
-            # The keys the handlers look up, checked here and not in the
-            # handlers, which the oracle runs on every event.
+            # The keys the handlers look up and the terms they read,
+            # checked here and not in the handlers, which the oracle runs
+            # on every event.
             if (
-                (rel == "state_e" and type(nodes.get(row[0])) not in _EVAL)
+                (rel == "state_e" and (type(nodes.get(row[0])) not in _EVAL or type(row[1]) is not Context))
                 or (rel == "state_a" and not _names_lambda(nodes, row[0]))
                 or (rel == "stored_kont" and not _frame_is_read(nodes, row[1]))
                 or (rel == "copy_ctx" and row[2] not in nodes)

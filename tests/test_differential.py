@@ -156,6 +156,16 @@ def test_agreement_survives_widening_choices(corpus_programs):
             0,
             id="kont-after-value-flow-ae-m0",
         ),
+        # A frame that reads only itself reaches an address that already
+        # holds a value, so the stored_kont handler emits its head: the
+        # inner let body's state_e ...
+        pytest.param(
+            "(let ((f (lambda (y) (let ((z y)) z)))) (let ((a (f 1))) (f 2)))", 0, id="kont-after-value-let-head-m0"
+        ),
+        # ... and the set!'s state_a((Number -42), ...).
+        pytest.param(
+            "(let ((f (lambda (y) (set! y 3)))) (let ((a (f 1))) (f 2)))", 0, id="kont-after-value-set-head-m0"
+        ),
     ],
 )
 def test_agreement_on_fresh_source_text(source, m):

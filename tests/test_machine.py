@@ -11,13 +11,17 @@ from collections import Counter
 import pytest
 
 from schemeflow import frontend
-from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, analyze
+from schemeflow.analysis import TRUTHINESS_MODES, AnalysisConfig, analyze, build_rules
+from schemeflow.engine import PApply, PStruct
 from schemeflow.errors import FactCeilingExceeded, ValidationError
 from schemeflow.frontend import LetNode, free_vars, read_program
 from schemeflow.machine import (
     _APPLY,
     _EVAL,
-    _EVAL_RULE_NAMES,
+    _EVAL_RULES,
+    _FRAMES,
+    _TRACED_APPLY,
+    _TRACED_EVAL,
     Machine,
     recheck,
     run_fixpoint,
@@ -36,6 +40,7 @@ from schemeflow.terms import (
     MT,
     MT_FRAME,
     Number,
+    Prim2K,
     SetK,
     TERM_TYPES,
     VAddr,
@@ -217,13 +222,10 @@ class TestRunFixpoint:
         def unexpected(*args):
             raise AssertionError("rule named or rendered without a trace")
 
-        class NoRuleNames(dict):
-            get = __getitem__ = unexpected
-
-        monkeypatch.setattr("schemeflow.machine._apply_rule_name", unexpected)
-        monkeypatch.setattr("schemeflow.machine._EVAL_RULE_NAMES", NoRuleNames())
         monkeypatch.setattr("schemeflow.machine.render", unexpected)
-        result = run_fixpoint(read_program(corpus("13_prim_nested")), config())
+        machine = Machine(read_program(corpus("13_prim_nested")), config())
+        assert machine._eval is _EVAL and machine._apply is _APPLY
+        result = machine.run()
         assert result.relations["state_a"]
         for name in corpus_ids():
             run_fixpoint(corpus_programs[name], config(m=1))
@@ -265,7 +267,10 @@ class TestTables:
     def test_every_frame_class_has_an_apply_transition(self):
         frames = {cls for cls in TERM_TYPES.values() if cls.__name__.endswith("K")} | {MT}
         assert len(frames) == 9
-        assert set(_APPLY) == frames
+        assert set(_FRAMES) == set(_APPLY) == set(_TRACED_APPLY) == frames
+        for cls, (fire, rule, fields) in _FRAMES.items():
+            assert _APPLY[cls] is fire and (type(rule) is str or callable(rule)), cls
+            assert type(fields) is int, cls
 
     def test_every_node_class_has_an_eval_transition(self):
         nodes = {
@@ -274,7 +279,31 @@ class TestTables:
         assert set(typing.get_args(frontend.Node)) == nodes
         # Operator and list-marker labels are never evaluated.
         expressions = nodes - {frontend.PrimOpNode, frontend.ListMarkerNode}
-        assert set(_EVAL) == set(_EVAL_RULE_NAMES) == expressions
+        assert set(_EVAL_RULES) == set(_EVAL) == set(_TRACED_EVAL) == expressions
+        for cls, (fire, rule) in _EVAL_RULES.items():
+            assert _EVAL[cls] is fire and type(rule) is str, cls
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("widen_depth", [None, 2])
+    @pytest.mark.parametrize("truthiness", TRUTHINESS_MODES)
+    def test_frame_fields_match_the_rules(self, m, widen_depth, truthiness):
+        """Every frame pattern in the analysis rules has as many fields as
+        ``_FRAMES`` says the machine's apply transition unpacks."""
+        cfg = AnalysisConfig(m=m, widen_depth=widen_depth, primval_truthiness=truthiness)
+        rules = build_rules(cfg)
+        pending = [p for r in rules for a in (*r.heads, *r.body) for p in a.patterns]
+        pending += [p for r in rules for p in r.guards]
+        seen = set()
+        while pending:
+            p = pending.pop()
+            if isinstance(p, (PStruct, PApply)):
+                pending += p.fields
+            cls = TERM_TYPES.get(p.tag) if isinstance(p, PStruct) else None
+            if cls in _FRAMES:
+                assert len(p.fields) == _FRAMES[cls][2], p
+                seen.add(cls)
+        # The halt frame is injected, never matched or built by a rule.
+        assert seen == set(_FRAMES) - {MT}
 
     def test_every_state_e_label_is_an_expression(self, corpus_results):
         """Neither path evaluates an operator or list-marker label, so
@@ -475,14 +504,15 @@ class TestRecheck:
     # Before the check, the Fn and Arg frames and the closure raised
     # KeyError or AttributeError from the transition that reads them, the
     # If frame of one field ValueError, and the Fn frame at position "a"
-    # TypeError.
+    # TypeError.  A non-term raised AttributeError where it was read: a
+    # state_e context only at m >= 1, where the call at e0 extends it.
     @pytest.mark.parametrize(
-        "source, rel, row",
+        "source, rel, row, m",
         [
-            ("((lambda (x) x) 1)", "state_e", (L(99), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
-            ("((lambda (x) x) 1)", "state_e", (L(4), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
-            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(0), EMPTY_CONTEXT), Number(1))),
-            ("((lambda (x) x) 1)", "copy_ctx", (EMPTY_CONTEXT, EMPTY_CONTEXT, L(99))),
+            ("((lambda (x) x) 1)", "state_e", (L(99), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)), 0),
+            ("((lambda (x) x) 1)", "state_e", (L(4), EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)), 0),
+            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(0), EMPTY_CONTEXT), Number(1)), 0),
+            ("((lambda (x) x) 1)", "copy_ctx", (EMPTY_CONTEXT, EMPTY_CONTEXT, L(99)), 0),
             (
                 "((lambda (x) x) 1)",
                 "stored_kont",
@@ -490,14 +520,16 @@ class TestRecheck:
                     KAddr(L(5), EMPTY_CONTEXT),
                     FnK(Closure(L(99), EMPTY_CONTEXT), 0, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)),
                 ),
+                0,
             ),
             (
                 "((lambda (x) x) 1)",
                 "stored_kont",
                 (KAddr(L(1), EMPTY_CONTEXT), ArgK(L(5), EMPTY_CONTEXT, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+                0,
             ),
-            ("(call/cc (lambda (k) k))", "state_a", (Closure(L(99), EMPTY_CONTEXT), KAddr(L(1), EMPTY_CONTEXT))),
-            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(5), EMPTY_CONTEXT), IfK(L(1)))),
+            ("(call/cc (lambda (k) k))", "state_a", (Closure(L(99), EMPTY_CONTEXT), KAddr(L(1), EMPTY_CONTEXT)), 0),
+            ("((lambda (x) x) 1)", "stored_kont", (KAddr(L(5), EMPTY_CONTEXT), IfK(L(1))), 0),
             (
                 "((lambda (x) x) 1)",
                 "stored_kont",
@@ -505,6 +537,21 @@ class TestRecheck:
                     KAddr(L(5), EMPTY_CONTEXT),
                     FnK(Closure(L(1), EMPTY_CONTEXT), "a", EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT)),
                 ),
+                0,
+            ),
+            ("((lambda (x) x) 1)", "state_e", (L(0), (), KAddr(L(0), EMPTY_CONTEXT)), 1),
+            ("((lambda (x) x) 1)", "state_a", (1, KAddr(L(5), EMPTY_CONTEXT)), 0),
+            (
+                "((lambda (x) x) 1)",
+                "stored_kont",
+                (KAddr(L(5), EMPTY_CONTEXT), FnK("e1", 0, EMPTY_CONTEXT, KAddr(L(0), EMPTY_CONTEXT))),
+                0,
+            ),
+            (
+                "((lambda (x) x) 1)",
+                "stored_kont",
+                (KAddr(L(5), EMPTY_CONTEXT), Prim2K("+", 1, KAddr(L(0), EMPTY_CONTEXT))),
+                0,
             ),
         ],
         ids=[
@@ -517,10 +564,14 @@ class TestRecheck:
             "state_a-closure-e99",
             "stored_kont-if-of-one-field",
             "stored_kont-fn-position-not-an-int",
+            "state_e-context-not-a-term-m1",
+            "state_a-value-not-a-term",
+            "stored_kont-fn-function-not-a-term",
+            "stored_kont-prim2-value-not-a-term",
         ],
     )
-    def test_malformed_row_is_a_validation_error(self, source, rel, row):
-        program, cfg = read_program(source), config(m=0)
+    def test_malformed_row_is_a_validation_error(self, source, rel, row, m):
+        program, cfg = read_program(source), config(m=m)
         relations = analyze(program, cfg).relations
         relations[rel].add(row)
         message = f"not a fixpoint: no transition reads {rel}{row}"
