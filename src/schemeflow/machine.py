@@ -35,17 +35,30 @@ expression's value) and ``_enter`` (closure entry, from ``_apply_fn`` and
 of the same names.
 
 The driver is event-based: each newly added fact (state, store entry, or
-context copy) is processed exactly once, by the handler that
-``Machine.HANDLERS`` keys by its relation, and processing joins it against
-the facts already processed, so every rule instance fires exactly once no
-matter the order.  The final relation sets are order-independent because
-each emission depends only on the joined pair, never on driver state.
+context copy) is an event, handled once by the handler that
+``Machine.HANDLERS`` keys by its relation, which joins it against the
+facts already handled, so every rule instance fires exactly once no matter
+the order.  A store row that nothing joins yet is handled by ``emit``
+itself: a ``stored_val`` row whose address has no reader and no copy
+target, or a ``stored_kont`` row whose address has no handled value, goes
+straight into its store, and whatever joins it later reads the store.
+Every event row counts as a step either way.  The final relation sets are
+order-independent because each emission depends only on the joined pair,
+never on driver state.
+
+The continuation store keeps each address's frames in groups: the frames
+of one class that differ only in their last field, the continuation
+address.  A value fires each group once.  The apply transition takes the
+group's frames, derives what their shared fields give once (a ``Prim2``'s
+widened value, an ``Arg``'s sub-evaluations, a closure entry's binding and
+copy), and the heads that name the continuation address once per frame.
+The traced tables fire each frame of a group on its own, after its trace
+line.
 
 A ``let`` body's ``state_e`` and a ``set!``'s ``state_a((Number -42), …)``
-read only the frame.  The handlers emit each of these ``_HEADS`` once per
+read only the frame.  The handlers emit these ``_HEADS`` once per
 (address, frame), just before the frame's first firing: that is where its
-row is first new if every firing emits it, so the queue order, ``steps``,
-``peak_facts`` and the trace stay the same.  ``_apply_let`` and
+row is first new if every firing emits it.  ``_apply_let`` and
 ``_apply_prim2`` emit their flow edge only if its relation lacks it.
 """
 
@@ -53,7 +66,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 from schemeflow.analysis import AnalysisConfig, AnalysisResult, IDB_SCHEMA
 from schemeflow.errors import FactCeilingExceeded, ValidationError
@@ -116,13 +129,14 @@ def _peek(s, e: Label, ctx: Context) -> Context:
     return ectx
 
 
-def _eval_sub(emit, src: Term, sub: Label, ctx: Context, frame: Term, flow: str) -> None:
+def _eval_sub(emit, src: Term, sub: Label, ctx: Context, frame: Term, flow: str) -> KAddr:
     """Evaluate ``sub`` in ``ctx`` under ``frame``; ``src`` flows into it
-    through the relation ``flow``."""
+    through the relation ``flow``.  Returns the frame's address."""
     ka = KAddr._pool[sub, ctx]
     emit("state_e", (sub, ctx, ka))
     emit("stored_kont", (ka, frame))
     emit(flow, (src, sub))
+    return ka
 
 
 def _arrive(emit, e: Label, val: Term, ak: KAddr) -> None:
@@ -211,35 +225,46 @@ def _branch_tests(cfg: AnalysisConfig, val: Term) -> tuple[bool, bool]:
     return opaque, opaque
 
 
-def _enter(s, clo: Term, pos: int, arg: Term, ectx: Context, next_ak: KAddr, src: Term) -> None:
+def _enter(s, clo: Term, pos: int, arg: Term, ectx: Context, frames: Sequence[Term], src: Term) -> None:
     """Enter closure ``clo`` in ``ectx`` with ``arg`` bound to its parameter
-    ``pos``, if it has one; ``src`` flows into its body."""
+    ``pos``, if it has one, returning to the continuation address of each
+    of ``frames``; ``src`` flows into its body."""
     elam, ctx_clo = clo.args
     lam = s.program.nodes[elam]
     if pos < len(lam.params):
         emit = s.emit
-        emit("state_e", (lam.body, ectx, next_ak))
+        for f in frames:
+            emit("state_e", (lam.body, ectx, f.args[-1]))
         emit("stored_val", (VAddr._pool[lam.params[pos], ectx], arg))
         emit("copy_ctx", (ctx_clo, ectx, elam))
         emit("flow_ae", (src, lam.body))
 
 
-def _apply_if(s, val: Term, ak: KAddr, frame: IfK) -> None:
-    et, ef, ctx_k, next_ak = frame.args
+# An apply transition fires one value at ``ak`` against one group of the
+# frames there: ``frames``, of one class, differ only in their last field,
+# the continuation address.  It reads the other fields from the first frame
+# and derives what they give once, and the heads that name the
+# continuation address once per frame.
+
+
+def _apply_if(s, val: Term, ak: KAddr, frames: Sequence[IfK]) -> None:
+    et, ef, ctx_k, _ = frames[0].args
     then, other = _branch_tests(s.cfg, val)
     emit = s.emit
     if then:
-        emit("state_e", (et, ctx_k, next_ak))
+        for f in frames:
+            emit("state_e", (et, ctx_k, f.args[-1]))
         emit("flow_ae", (Bool._pool["#t",], et))
     if other:
-        emit("state_e", (ef, ctx_k, next_ak))
+        for f in frames:
+            emit("state_e", (ef, ctx_k, f.args[-1]))
         emit("flow_ae", (Bool._pool["#f",], ef))
 
 
-def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
-    ectx, next_ak = frame.args
+def _apply_callcc(s, val: Term, ak: KAddr, frames: Sequence[CallccK]) -> None:
+    ectx, _ = frames[0].args
     if val.tag == "Closure":
-        _enter(s, val, 0, KontRef._pool[ak,], ectx, next_ak, val)
+        _enter(s, val, 0, KontRef._pool[ak,], ectx, frames, val)
     elif val.tag == "Kont":
         (bk,) = val.args
         emit = s.emit
@@ -248,29 +273,34 @@ def _apply_callcc(s, val: Term, ak: KAddr, frame: CallccK) -> None:
         emit("flow_aa", (KontRef._pool[bk,], kont))
 
 
-def _apply_set(s, val: Term, ak: KAddr, frame: SetK) -> None:
+def _apply_set(s, val: Term, ak: KAddr, frames: Sequence[SetK]) -> None:
     emit = s.emit
-    emit("stored_val", (frame.args[0], val))
+    emit("stored_val", (frames[0].args[0], val))
     emit("flow_aa", (val, Number._pool[-42,]))
 
 
-def _head_set(s, frame: SetK) -> None:
-    s.emit("state_a", (Number._pool[-42,], frame.args[1]))
+def _head_set(s, frames: Sequence[SetK]) -> None:
+    sentinel = Number._pool[-42,]
+    for f in frames:
+        s.emit("state_a", (sentinel, f.args[-1]))
 
 
-def _apply_arg(s, val: Term, ak: KAddr, frame: ArgK) -> None:
-    eargs, ctx, ectx, next_ak = frame.args
+def _apply_arg(s, val: Term, ak: KAddr, frames: Sequence[ArgK]) -> None:
+    eargs, ctx, ectx, next_ak = frames[0].args
     emit = s.emit
     # ``eargs`` labels the argument list of a call node.
     nodes = s.program.nodes
     for pos, earg in enumerate(nodes[nodes[eargs].owner].args):
-        _eval_sub(emit, val, earg, ctx, FnK._pool[val, pos, ectx, next_ak], "flow_ae")
+        ka = _eval_sub(emit, val, earg, ctx, FnK._pool[val, pos, ectx, next_ak], "flow_ae")
+        # Each other frame of the group has its own successor at ``ka``.
+        for f in frames[1:]:
+            emit("stored_kont", (ka, FnK._pool[val, pos, ectx, f.args[-1]]))
 
 
-def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
-    fn, pos, ectx, next_ak = frame.args
+def _apply_fn(s, val: Term, ak: KAddr, frames: Sequence[FnK]) -> None:
+    fn, pos, ectx, _ = frames[0].args
     if fn.tag == "Closure":
-        _enter(s, fn, pos, val, ectx, next_ak, val)
+        _enter(s, fn, pos, val, ectx, frames, val)
     elif fn.tag == "Kont" and pos == 0:
         (ck,) = fn.args
         emit = s.emit
@@ -278,32 +308,40 @@ def _apply_fn(s, val: Term, ak: KAddr, frame: FnK) -> None:
         emit("flow_aa", (val, val))
 
 
-def _apply_let(s, val: Term, ak: KAddr, frame: LetK) -> None:
-    av, ebody, ctx, next_ak = frame.args
+def _apply_let(s, val: Term, ak: KAddr, frames: Sequence[LetK]) -> None:
+    av, ebody, ctx, _ = frames[0].args
     s.emit("stored_val", (av, val))
     if (val, ebody) not in s.relations["flow_ae"]:
         s.emit("flow_ae", (val, ebody))
 
 
-def _head_let(s, frame: LetK) -> None:
-    av, ebody, ctx, next_ak = frame.args
-    s.emit("state_e", (ebody, ctx, next_ak))
+def _head_let(s, frames: Sequence[LetK]) -> None:
+    av, ebody, ctx, _ = frames[0].args
+    emit = s.emit
+    for f in frames:
+        emit("state_e", (ebody, ctx, f.args[-1]))
 
 
-def _apply_prim1(s, val: Term, ak: KAddr, frame: Prim1K) -> None:
-    op, ea1, ctx, next_ak = frame.args
-    _eval_sub(s.emit, val, ea1, ctx, Prim2K._pool[op, val, next_ak], "flow_ae")
+def _apply_prim1(s, val: Term, ak: KAddr, frames: Sequence[Prim1K]) -> None:
+    op, ea1, ctx, next_ak = frames[0].args
+    emit = s.emit
+    ka = _eval_sub(emit, val, ea1, ctx, Prim2K._pool[op, val, next_ak], "flow_ae")
+    # Each other frame of the group has its own successor at ``ka``.
+    for f in frames[1:]:
+        emit("stored_kont", (ka, Prim2K._pool[op, val, f.args[-1]]))
 
 
-def _apply_prim2(s, val: Term, ak: KAddr, frame: Prim2K) -> None:
-    op, v1, next_ak = frame.args
+def _apply_prim2(s, val: Term, ak: KAddr, frames: Sequence[Prim2K]) -> None:
+    op, v1, _ = frames[0].args
     widened = widen_value(PrimVal._pool[op, v1, val], s.cfg.widen_depth)
-    s.emit("state_a", (widened, next_ak))
+    emit = s.emit
+    for f in frames:
+        emit("state_a", (widened, f.args[-1]))
     if (val, widened) not in s.relations["flow_aa"]:
-        s.emit("flow_aa", (val, widened))
+        emit("flow_aa", (val, widened))
 
 
-def _apply_halt(s, val: Term, ak: KAddr, frame: MT) -> None:
+def _apply_halt(s, val: Term, ak: KAddr, frames: Sequence[MT]) -> None:
     """The final address: values here are results, with no successor."""
 
 
@@ -336,9 +374,11 @@ def _traced_eval(fire, rule: str):
 def _traced_apply(fire, rule):
     name = rule if callable(rule) else lambda val, frame: rule
 
-    def traced(s, val: Term, ak: KAddr, frame: Term) -> None:
-        s._t(name(val, frame), val, ak, frame)
-        fire(s, val, ak, frame)
+    # Each frame of the group fires on its own, after its trace line.
+    def traced(s, val: Term, ak: KAddr, frames: Sequence[Term]) -> None:
+        for frame in frames:
+            s._t(name(val, frame), val, ak, frame)
+            fire(s, val, ak, (frame,))
 
     return traced
 
@@ -354,12 +394,15 @@ _TRACED_APPLY = {cls: _traced_apply(fire, rule) for cls, (fire, rule, _) in _FRA
 # ---------------------------------------------------------------------------
 
 # The event handlers.  A handler joins its new fact against the facts of
-# the events processed before it.  The transitions it calls only queue facts
-# through ``emit``, and a store entry grows only in its own relation's
-# handler, so a handler iterates the entries it reads without copying them.
-# The transitions come from the machine's ``_eval`` and ``_apply``, whose
-# traced copies name each rule instance before firing it; only the two
-# handlers whose joins are not table transitions test ``m.trace``.
+# the events processed before it.  The transitions it calls only hand facts
+# to ``emit``, which queues them or, for a store row that nothing joins
+# yet, adds it to its store at once.  A handler registers its join (a
+# reader, a copy target, a value at the address) before it iterates a store
+# entry, so ``emit`` never extends the entry being iterated, and handlers
+# iterate entries without copying them.  The transitions come from the
+# machine's ``_eval`` and ``_apply``, whose traced copies name each rule
+# instance before firing it; only the two handlers whose joins are not
+# table transitions test ``m.trace``.
 
 
 def _on_state_e(m: "Machine", row: tuple) -> None:
@@ -370,33 +413,38 @@ def _on_state_e(m: "Machine", row: tuple) -> None:
 
 def _on_state_a(m: "Machine", row: tuple) -> None:
     val, ak = row
-    # Join the new value against already-processed frames only; the
-    # reverse direction happens when those frames are processed.
-    frames = m.kstore.get(ak, ())
+    # Join the new value against the frames already stored only; the
+    # reverse direction happens when a later frame is processed.
+    groups = m.kstore.get(ak, ())
     vals = m._avals.get(ak)
     apply = m._apply
     if vals is None:
         # The first value at ``ak`` fires each frame for the first time.
-        for frame in frames:
-            if type(frame) in _HEADS:
-                _HEADS[type(frame)](m, frame)
-            apply[type(frame)](m, val, ak, frame)
         vals = m._avals[ak] = []
+        for frames in groups:
+            cls = type(frames[0])
+            if cls in _HEADS:
+                _HEADS[cls](m, frames)
+            apply[cls](m, val, ak, frames)
     else:
-        for frame in frames:
-            apply[type(frame)](m, val, ak, frame)
+        for frames in groups:
+            apply[type(frames[0])](m, val, ak, frames)
     vals.append(val)
 
 
 def _on_stored_kont(m: "Machine", row: tuple) -> None:
     ak, frame = row
+    # The frame fires alone against the values already processed at ``ak``,
+    # then joins its group there.
     vals = m._avals.get(ak, ())
-    if vals and type(frame) in _HEADS:
-        _HEADS[type(frame)](m, frame)
-    apply = m._apply[type(frame)]
-    for val in vals:
-        apply(m, val, ak, frame)
-    m.kstore.setdefault(ak, []).append(frame)
+    if vals:
+        frames = (frame,)
+        if type(frame) in _HEADS:
+            _HEADS[type(frame)](m, frames)
+        apply = m._apply[type(frame)]
+        for val in vals:
+            apply(m, val, ak, frames)
+    _store_frame(m, ak, frame)
 
 
 def _on_stored_val(m: "Machine", row: tuple) -> None:
@@ -425,6 +473,53 @@ def _on_copy_ctx(m: "Machine", row: tuple) -> None:
             emit("stored_val", (dst, val))
 
 
+def _store_frame(m: "Machine", ak: Term, frame: Term) -> None:
+    """Add ``frame`` to its group at ``ak``: the frames of its class that
+    agree with it on every field but the last, the continuation address."""
+    groups = m.kstore.get(ak)
+    if groups is None:
+        # Most addresses only ever hold one frame.  Their one group of one
+        # is a tuple; an address's groups become lists, indexed by their
+        # other fields, only when a second frame arrives there.
+        m.kstore[ak] = ((frame,),)
+        return
+    index = m._stems.get(ak)
+    if index is None:
+        ((first,),) = groups
+        groups = m.kstore[ak] = [[first]]
+        index = m._stems[ak] = {(type(first), first.args[:-1]): groups[0]}
+    stem = (type(frame), frame.args[:-1])
+    group = index.get(stem)
+    if group is None:
+        group = index[stem] = []
+        groups.append(group)
+    group.append(frame)
+
+
+def _stored_unread_val(m: "Machine", row: tuple) -> bool:
+    """Store a new ``stored_val`` row at once if its address has no reader
+    and no copy target yet: one that registers later reads the store."""
+    av, val = row
+    if av in m.var_reads or av in m.copy_to:
+        return False
+    m.vstore.setdefault(av, []).append(val)
+    return True
+
+
+def _stored_unfired_kont(m: "Machine", row: tuple) -> bool:
+    """Store a new ``stored_kont`` row at once if no value at its address
+    has been processed yet: the first one fires it."""
+    ak, frame = row
+    if ak in m._avals:
+        return False
+    _store_frame(m, ak, frame)
+    return True
+
+
+# The store relations whose new rows ``Machine.emit`` may store at once.
+_AT_ONCE = {"stored_val": _stored_unread_val, "stored_kont": _stored_unfired_kont}
+
+
 class Machine:
     """Event worklist: every new fact is joined against everything already
     processed, so each rule instance fires exactly once."""
@@ -450,14 +545,23 @@ class Machine:
         self.cfg = cfg
         self.free_vars = free_vars(program)
         self.relations: dict[str, set[tuple]] = {name: set() for name in IDB_SCHEMA}
-        # Each relation's rows, and whether a new row is an event.
-        self._sinks = {name: (rows, name in self.HANDLERS) for name, rows in self.relations.items()}
-        # The global stores (address -> values / frames); they only grow.
-        # Each entry is a list: each row reaches its handler once, so none
-        # repeats, and it keeps insertion order, where a set of terms, which
-        # hash by identity, would order the trace by memory address.
+        # Each relation's rows, whether a new row is an event, and how
+        # ``emit`` may store it at once.
+        self._sinks = {
+            name: (rows, name in self.HANDLERS, _AT_ONCE.get(name))
+            for name, rows in self.relations.items()
+        }
+        # The global stores; they only grow.  ``vstore`` maps an address to
+        # its values, ``kstore`` an address to its frame groups (see
+        # ``_store_frame``), and ``_stems`` an address that holds more than
+        # one frame to its groups, keyed by frame class and the fields
+        # before the continuation address.  Each entry is a sequence: each
+        # row is stored once, so none repeats, and it keeps insertion order,
+        # where a set of terms, which hash by identity, would order the
+        # trace by memory address.
         self.vstore: dict[Term, list[Term]] = {}
-        self.kstore: dict[Term, list[Term]] = {}
+        self.kstore: dict[Term, Sequence[Sequence[Term]]] = {}
+        self._stems: dict[Term, dict[tuple, list[Term]]] = {}
         self.var_reads: dict[Term, list[tuple[Label, Term]]] = {}
         # Source address VAddr(x, frm) -> the addresses VAddr(x, to) that the
         # copy_ctx events seen so far copy it to, one per event.
@@ -479,14 +583,19 @@ class Machine:
     # -- fact intake ---------------------------------------------------
 
     def emit(self, rel: str, row: tuple) -> None:
-        rows, event = self._sinks[rel]
+        rows, event, store = self._sinks[rel]
         if row in rows:
             return
         rows.add(row)
         self.total_facts += 1
         if self.total_facts > self.ceiling:
             raise FactCeilingExceeded(self.total_facts, self.ceiling)
-        if event:
+        # A store row that nothing joins yet needs no handler: it goes into
+        # its store now and counts as a step.  Whatever comes to join it
+        # later reads the store.
+        if store is not None and store(self, row):
+            self.steps += 1
+        elif event:
             self.queue.append((rel, row))
 
     # -- driver ----------------------------------------------------------
@@ -509,7 +618,7 @@ class Machine:
         queue = self.queue
         popleft = queue.popleft
         handlers = self.HANDLERS
-        steps = self.steps
+        steps = 0
         try:
             while queue:
                 rel, row = popleft()
@@ -517,8 +626,9 @@ class Machine:
                 handlers[rel](self, row)
         finally:
             # Also when a handler raises, so ``steps`` counts the events
-            # processed, the failing one included.
-            self.steps = steps
+            # processed, the failing one included.  ``emit`` counts the
+            # rows it stores at once itself.
+            self.steps += steps
 
     def result(self) -> AnalysisResult:
         # The result takes the machine's sets themselves: a copy of each

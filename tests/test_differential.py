@@ -11,8 +11,9 @@ import pytest
 
 from schemeflow.analysis import analyze
 from schemeflow.frontend import read_program
-from schemeflow.machine import recheck, run_fixpoint
+from schemeflow.machine import Machine, recheck, run_fixpoint
 from schemeflow.serialize import OUTPUT_RELATIONS, relation_text
+from schemeflow.termgen import GenSpec, gen_mcfa_worst
 from schemeflow.terms import EMPTY_CONTEXT, KAddr, Number
 
 from conftest import CORPUS, config, corpus_ids
@@ -166,6 +167,17 @@ def test_agreement_survives_widening_choices(corpus_programs):
         pytest.param(
             "(let ((f (lambda (y) (set! y 3)))) (let ((a (f 1))) (f 2)))", 0, id="kont-after-value-set-head-m0"
         ),
+        # Both arguments call f, so two frames of f's body that differ only
+        # in their continuation address wait at one address before its
+        # first value, and the machine emits both frames' heads from one
+        # group: the let body's state_e ...
+        pytest.param(
+            "(let ((f (lambda (y) (let ((z y)) z)))) ((lambda (a b) a) (f 1) (f 2)))", 0, id="two-frame-let-group-m0"
+        ),
+        # ... and the set!'s state_a((Number -42), ...).
+        pytest.param(
+            "(let ((f (lambda (y) (set! y 3)))) ((lambda (a b) a) (f 1) (f 2)))", 0, id="two-frame-set-group-m0"
+        ),
     ],
 )
 def test_agreement_on_fresh_source_text(source, m):
@@ -176,6 +188,23 @@ def test_agreement_on_fresh_source_text(source, m):
     right = run_fixpoint(program, cfg)
     for name in DERIVED_RELATIONS:
         assert left.relations[name] == right.relations[name]
+
+
+# termgen cells (n, k, p) at an m no larger than their padding p: contexts
+# conflate, so the machine's frame groups have many members.  The corpus
+# programs hardly have any.
+@pytest.mark.parametrize("n, k, p, m", [(8, 1, 0, 0), (8, 2, 1, 0), (8, 2, 1, 1), (16, 1, 0, 0), (16, 1, 1, 1)])
+def test_paths_agree_in_the_conflated_regime(n, k, p, m):
+    program = read_program(gen_mcfa_worst(GenSpec(n, k, p)))
+    cfg = config(m=m)
+    left = analyze(program, cfg)
+    machine = Machine(program, cfg)
+    right = machine.run()
+    assert max(len(group) for groups in machine.kstore.values() for group in groups) >= n
+    for name in DERIVED_RELATIONS:
+        assert left.relations[name] == right.relations[name], name
+    assert recheck(program, cfg, left.relations)
+    assert recheck(program, cfg, right.relations)
 
 
 # ``set!`` inside a closure on a variable the closure captures; it evaluates

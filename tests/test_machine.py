@@ -40,6 +40,7 @@ from schemeflow.terms import (
     MT,
     MT_FRAME,
     Number,
+    Prim1K,
     Prim2K,
     SetK,
     TERM_TYPES,
@@ -58,6 +59,15 @@ def L(n: int) -> Label:
 
 def corpus(stem: str) -> str:
     return (CORPUS_DIR / f"{stem}.scm").read_text()
+
+
+# Programs whose frame groups have many members: termgen cells (n, k, p)
+# at an m that conflates them.
+CONFLATED_CELLS = [(16, 1, 0, 0), (16, 1, 1, 1)]
+
+
+def cell_program(n: int, k: int, p: int):
+    return read_program(gen_mcfa_worst(GenSpec(n, k, p)))
 
 
 def fire_one(machine: Machine, rel: str, row: tuple) -> set[tuple[str, tuple]]:
@@ -145,8 +155,11 @@ class TestStep:
             ("stored_kont", (guard_ak, IfK(L(2), L(3), EMPTY_CONTEXT, root_ak))),
             ("flow_ee", (L(0), L(1))),
         }
-        # The frame joins the store only when its own event is processed.
-        assert guard_ak not in machine.kstore
+        # No value has been processed at the guard's address, so the frame
+        # joins the store as it is emitted, without an event in the queue.
+        frame = IfK(L(2), L(3), EMPTY_CONTEXT, root_ak)
+        assert [list(group) for group in machine.kstore[guard_ak]] == [[frame]]
+        assert ("stored_kont", (guard_ak, frame)) not in machine.queue
 
     def test_apply_fans_out_over_all_frames(self):
         machine = Machine(read_program("(if #t 1 2)"), config())
@@ -183,6 +196,112 @@ class TestStep:
         assert not machine.queue
 
 
+def offers(monkeypatch) -> Counter:
+    """Count the rows offered to ``emit`` from now on, per (relation, row)."""
+    offered: Counter = Counter()
+    emit = Machine.emit
+
+    def counting(machine, rel, row):
+        offered[rel, row] += 1
+        emit(machine, rel, row)
+
+    monkeypatch.setattr(Machine, "emit", counting)
+    return offered
+
+
+class TestFrameGroups:
+    """Frames of one class that differ only in their continuation address
+    share one group at their address: a value fires the group once, derives
+    what the shared fields give once, and the heads that name the
+    continuation address once per frame."""
+
+    def test_prim1_frames_share_their_sub_evaluation(self, monkeypatch):
+        machine = Machine(read_program("(+ 1 2)"), config())
+        ak, ka = KAddr(L(3), EMPTY_CONTEXT), KAddr(L(4), EMPTY_CONTEXT)
+        naks = [KAddr(L(0), EMPTY_CONTEXT), KAddr(L(2), EMPTY_CONTEXT)]
+        for nak in naks:
+            machine.emit("stored_kont", (ak, Prim1K("+", L(4), EMPTY_CONTEXT, nak)))
+        assert not machine.queue
+        assert [len(group) for group in machine.kstore[ak]] == [2]
+        offered = offers(monkeypatch)
+        machine.emit("state_a", (Number(1), ak))
+        machine.drain()
+        shared = [("state_e", (L(4), EMPTY_CONTEXT, ka)), ("flow_ae", (Number(1), L(4)))]
+        per_frame = [("stored_kont", (ka, Prim2K("+", Number(1), nak))) for nak in naks]
+        assert {key: offered[key] for key in shared + per_frame} == dict.fromkeys(shared + per_frame, 1)
+
+    def test_let_frames_share_their_binding_and_each_has_its_body(self, monkeypatch):
+        machine = Machine(read_program("(let ((a 1)) a)"), config())
+        av, ak = VAddr("a~1", EMPTY_CONTEXT), KAddr(L(2), EMPTY_CONTEXT)
+        naks = [KAddr(L(0), EMPTY_CONTEXT), KAddr(L(1), EMPTY_CONTEXT)]
+        for nak in naks:
+            machine.emit("stored_kont", (ak, LetK(av, L(3), EMPTY_CONTEXT, nak)))
+        applied = Counter()
+        monkeypatch.setitem(_APPLY, LetK, lambda m, val, ak, frames: applied.update([len(frames)]))
+        offered = offers(monkeypatch)
+        for val in (Number(1), Number(2)):
+            machine.emit("state_a", (val, ak))
+        machine.drain()
+        # One firing of the two-frame group per value; each frame's body
+        # (its ``_HEADS`` row) is offered once, on the first value.
+        assert applied == {2: 2}
+        assert {nak: offered["state_e", (L(3), EMPTY_CONTEXT, nak)] for nak in naks} == dict.fromkeys(naks, 1)
+
+    def test_grouped_firing_derives_what_each_frame_derives(self):
+        """The same facts as firing each frame of the group on its own, which
+        is what the traced tables do."""
+        av, ak = VAddr("a~1", EMPTY_CONTEXT), KAddr(L(2), EMPTY_CONTEXT)
+        frames = [LetK(av, L(3), EMPTY_CONTEXT, KAddr(L(n), EMPTY_CONTEXT)) for n in (0, 1)]
+        derived = []
+        for trace in (None, [].append):
+            machine = Machine(read_program("(let ((a 1)) a)"), config(), trace=trace)
+            for frame in frames:
+                machine.emit("stored_kont", (ak, frame))
+            derived.append(fire_one(machine, "state_a", (Number(1), ak)))
+        assert derived[0] == derived[1]
+        assert {row for rel, row in derived[0] if rel == "state_e"} == {
+            (L(3), EMPTY_CONTEXT, frame.args[3]) for frame in frames
+        }
+
+
+class TestStoreAtOnce:
+    """A store row that nothing joins yet goes into its store as it is
+    emitted, without an event in the queue, and still counts as a step."""
+
+    def test_value_stored_before_and_after_its_reader_reaches_it_once(self, monkeypatch):
+        machine = Machine(read_program("x"), config())
+        av, ak = VAddr("x", EMPTY_CONTEXT), KAddr(L(0), EMPTY_CONTEXT)
+        offered = offers(monkeypatch)
+        machine.emit("stored_val", (av, Number(3)))
+        assert not machine.queue and machine.vstore[av] == [Number(3)] and machine.steps == 1
+        machine.emit("state_e", (L(0), EMPTY_CONTEXT, ak))
+        machine.drain()
+        # The reader is registered now, so the next value is an event.
+        machine.emit("stored_val", (av, Number(4)))
+        assert list(machine.queue) == [("stored_val", (av, Number(4)))]
+        machine.drain()
+        assert machine.vstore[av] == [Number(3), Number(4)]
+        assert {val: offered["state_a", (val, ak)] for val in (Number(3), Number(4))} == {Number(3): 1, Number(4): 1}
+        # Every event row is a step, the one stored at once included.
+        assert machine.steps == sum(len(machine.relations[rel]) for rel in Machine.HANDLERS) == 5
+
+    def test_frame_without_a_value_is_stored_and_fires_on_the_first(self):
+        machine = Machine(read_program("(let ((a 1)) a)"), config())
+        av, ak = VAddr("a~1", EMPTY_CONTEXT), KAddr(L(2), EMPTY_CONTEXT)
+        first, second = (LetK(av, L(3), EMPTY_CONTEXT, KAddr(L(n), EMPTY_CONTEXT)) for n in (0, 1))
+        machine.emit("stored_kont", (ak, first))
+        assert not machine.queue and [list(group) for group in machine.kstore[ak]] == [[first]]
+        derived = fire_one(machine, "state_a", (Number(1), ak))
+        assert ("state_e", (L(3), EMPTY_CONTEXT, first.args[3])) in derived
+        assert ("stored_val", (av, Number(1))) in derived
+        # Once a value is processed at the address, a new frame is an event
+        # that fires against it, its ``_HEADS`` row first.
+        machine.drain()
+        derived = fire_one(machine, "stored_kont", (ak, second))
+        assert ("state_e", (L(3), EMPTY_CONTEXT, second.args[3])) in derived
+        assert [list(group) for group in machine.kstore[ak]] == [[first, second]]
+
+
 class TestRunFixpoint:
     def test_number_program_two_configs(self):
         result = run_fixpoint(read_program("42"), config())
@@ -207,14 +326,25 @@ class TestRunFixpoint:
         with pytest.raises(FactCeilingExceeded):
             run_fixpoint(read_program(corpus("18_loop_widen")), cfg)
 
-    def test_trace_does_not_change_results(self):
-        program = read_program(corpus("13_prim_nested"))
-        cfg = config()
-        lines: list[str] = []
-        traced = run_fixpoint(program, cfg, trace=lines.append)
-        plain = run_fixpoint(program, cfg)
-        assert traced.relations == plain.relations
-        assert lines and all("\t" in line for line in lines)
+    def test_trace_does_not_change_results(self, corpus_programs):
+        """The traced tables fire each frame of a group on its own; the
+        untraced ones fire the group once.  Both give the same result."""
+        runs = [
+            (corpus_programs[name], config(m=m, primval_truthiness=truthiness))
+            for name in corpus_ids()
+            for m in (0, 1, 2)
+            for truthiness in TRUTHINESS_MODES
+        ]
+        runs.append((cell_program(16, 1, 0), config(m=0)))
+        for program, cfg in runs:
+            lines: list[str] = []
+            traced = run_fixpoint(program, cfg, trace=lines.append)
+            plain = run_fixpoint(program, cfg)
+            assert traced.relations == plain.relations, cfg
+            assert (traced.rounds, traced.peak_facts) == (plain.rounds, plain.peak_facts), cfg
+            assert lines and all("\t" in line for line in lines)
+        lines = []
+        run_fixpoint(read_program(corpus("13_prim_nested")), config(), trace=lines.append)
         rules = {line.split("\t", 1)[0] for line in lines}
         assert {"e-prim", "a-prim1", "a-prim2", "a-halt"} <= rules
 
@@ -328,30 +458,44 @@ class TestWork:
     @pytest.mark.parametrize(
         "n, k, p, m, total, offered, steps, facts",
         [
-            (16, 1, 0, 0, 10977, {"state_e": 356, "flow_ae": 546, "flow_aa": 256}, 8928, 10003),
-            (16, 1, 1, 1, 10756, {"state_e": 404, "flow_ae": 578, "flow_aa": 256}, 9104, 10302),
+            (16, 1, 0, 0, 10497, {"state_e": 116, "flow_ae": 306, "flow_aa": 256}, 8928, 10003),
+            (16, 1, 1, 1, 10276, {"state_e": 164, "flow_ae": 338, "flow_aa": 256}, 9104, 10302),
         ],
     )
     def test_emit_calls(self, monkeypatch, n, k, p, m, total, offered, steps, facts):
-        calls = Counter()
-        emit = Machine.emit
-
-        def counting(machine, rel, row):
-            calls[rel] += 1
-            emit(machine, rel, row)
-
-        monkeypatch.setattr(Machine, "emit", counting)
-        machine = Machine(read_program(gen_mcfa_worst(GenSpec(n, k, p))), config(m=m))
+        rows = offers(monkeypatch)
+        machine = Machine(cell_program(n, k, p), config(m=m))
         machine.run()
+        calls = Counter()
+        for (rel, _), count in rows.items():
+            calls[rel] += count
         assert sum(calls.values()) == total
         assert {rel: calls[rel] for rel in offered} == offered
         assert (machine.steps, machine.total_facts) == (steps, facts)
+
+    @pytest.mark.parametrize(
+        "n, k, p, m, applies, queued, steps",
+        [(16, 1, 0, 0, 4658, 4748, 8928), (16, 1, 1, 1, 4690, 4603, 9104)],
+    )
+    def test_apply_calls_and_queued_events(self, monkeypatch, n, k, p, m, applies, queued, steps):
+        """The apply transitions fire once per (value, frame group), and the
+        store rows that nothing joins yet skip the queue.  One firing per
+        (value, frame) and one queued event per event row would read 8,738
+        and 8,928 at (16,1,0,0), and 8,770 and 9,104 at (16,1,1,1)."""
+        calls = Counter()
+        for cls, fire in _APPLY.items():
+            monkeypatch.setitem(_APPLY, cls, lambda *args, fire=fire: calls.update(["apply"]) or fire(*args))
+        for rel, handler in Machine.HANDLERS.items():
+            monkeypatch.setitem(Machine.HANDLERS, rel, lambda *args, h=handler: calls.update(["event"]) or h(*args))
+        machine = Machine(cell_program(n, k, p), config(m=m))
+        machine.run()
+        assert (calls["apply"], calls["event"], machine.steps) == (applies, queued, steps)
 
 
 # The SHA-256 of the ``oracle --trace`` bytes, ``steps`` and ``peak_facts``
 # of every corpus program at m=0..2 in both truthiness modes.  A change
 # that alters the trace on purpose re-pins it and says so in CHANGES.md.
-TRACE_SHA256 = "ccfd33ff13df37c162301a48298a0cd5e4fbfc2da724e69ef3799d740f568fa7"
+TRACE_SHA256 = "573d3574eeea3eaa8d200c123fc1c167450cd8f5de1b22f2ac7e66dfdeac1176"
 
 
 def test_corpus_traces_are_pinned(corpus_programs):
@@ -369,11 +513,13 @@ def test_corpus_traces_are_pinned(corpus_programs):
 
 
 class TestOrderIndependence:
-    @pytest.mark.parametrize("stem", ["16_conflate_branches", "17_vanhorn", "10_callcc_invoke"])
-    def test_random_worklist_orders_agree(self, stem):
-        program = read_program(corpus(stem))
-        cfg = config(m=1)
-        baseline = run_fixpoint(program, cfg).relations
+    """Events processed in random orders give the FIFO run's result.  Which
+    store rows skip the queue depends on the order, so each order also
+    exercises a different mix of stored-at-once and queued rows."""
+
+    @staticmethod
+    def check(program, cfg):
+        baseline = run_fixpoint(program, cfg)
         for seed in (1, 2, 3):
             machine = Machine(program, cfg)
             machine.start()
@@ -385,7 +531,18 @@ class TestOrderIndependence:
                 machine.queue.rotate(i)
                 machine.steps += 1
                 Machine.HANDLERS[rel](machine, row)
-            assert machine.result().relations == baseline
+            result = machine.result()
+            assert result.relations == baseline.relations, seed
+            assert (result.rounds, result.peak_facts) == (baseline.rounds, baseline.peak_facts), seed
+
+    @pytest.mark.parametrize("stem", corpus_ids())
+    def test_random_worklist_orders_agree(self, stem, corpus_programs):
+        for m in (0, 1, 2):
+            self.check(corpus_programs[stem], config(m=m))
+
+    @pytest.mark.parametrize("n, k, p, m", CONFLATED_CELLS)
+    def test_random_worklist_orders_agree_on_conflated_cells(self, n, k, p, m):
+        self.check(cell_program(n, k, p), config(m=m))
 
 
 class CopyLog(Machine):
